@@ -107,9 +107,9 @@ def run_overlap_sweep(counts=OVERLAP_COUNTS):
     last_report = None
     for count in counts:
         group = make_device_group(DEVICE, count, LINK, TOPOLOGY)
-        _, fused_report = DistributedSolver(
-            group, mode="rows", schedule="fused"
-        ).price(NUM_SYSTEMS, STRONG_SIZE, DTYPE_SIZE)
+        _, fused_report = DistributedSolver(group, mode="rows").price(
+            NUM_SYSTEMS, STRONG_SIZE, DTYPE_SIZE
+        )
         _, pipe_report = DistributedSolver(group, mode="pipelined").price(
             NUM_SYSTEMS, STRONG_SIZE, DTYPE_SIZE
         )

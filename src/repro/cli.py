@@ -548,12 +548,7 @@ def _cmd_plan(args, out) -> int:
         out.write("\n" + _governor_report(args, m, n) + "\n")
     if args.fuse:
         if args.devices > 1:
-            fused = plan.lower(
-                solver.group,
-                args.dtype_size,
-                solver.switch_points_for(args.dtype_size),
-                fuse=True,
-            )
+            fused = plan.lower(solver.group, args.dtype_size, fuse=True)
             fused_run = Engine.for_group(solver.group).price(fused)
         else:
             fused = plan.lower(device, args.dtype_size, fuse=True)

@@ -4,24 +4,23 @@ Solves workloads that overflow one simulated device by partitioning
 across a :class:`DeviceGroup`: SPIKE-style row chunking for enormous
 systems (``rows`` mode) or system sharding for wide on-chip batches
 (``batch`` mode), with halo/spike exchanges priced on a
-:class:`LinkSpec` interconnect model and overlapped with local solves by
-the :mod:`~repro.dist.pipeline` scheduler.
+:class:`LinkSpec` interconnect model. Each plan lowers to an instruction
+program whose overlap-aware pricing on the shared :class:`~repro.ir.Engine`
+yields a :class:`DistReport`.
 
 Entry points: :class:`DistributedSolver` (plan/price/solve),
-:func:`make_device_group`, and :func:`render_dist_timeline` for the
-per-device Gantt view benchmarks print.
+:func:`make_device_group`, and the two report renderers from
+:mod:`~repro.dist.pipeline` — :func:`render_dist_timeline` (one row per
+event, what benchmarks print) and :func:`render_overlap_gantt` (one row
+per lane, what ``repro plan --devices N`` prints).
 """
 
 from .pipeline import (
-    BatchCosts,
     DeviceTimeline,
     DistReport,
-    RowsCosts,
     TimelineEvent,
     render_dist_timeline,
     render_overlap_gantt,
-    schedule_batch,
-    schedule_rows,
 )
 from .partition import batch_shares, partition_bounds
 from .plan import DistPlan
@@ -36,7 +35,6 @@ from .topology import (
 )
 
 __all__ = [
-    "BatchCosts",
     "DeviceGroup",
     "DeviceTimeline",
     "DistPlan",
@@ -46,7 +44,6 @@ __all__ = [
     "Interconnect",
     "LINK_PRESETS",
     "LinkSpec",
-    "RowsCosts",
     "TimelineEvent",
     "batch_shares",
     "get_link",
@@ -54,7 +51,5 @@ __all__ = [
     "make_device_group",
     "render_dist_timeline",
     "render_overlap_gantt",
-    "schedule_batch",
-    "schedule_rows",
     "working_set_nbytes",
 ]

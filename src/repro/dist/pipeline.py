@@ -1,38 +1,19 @@
-"""Per-device timelines and the legacy scheduler API.
+"""Distributed report types, their renderers, and failover splicing.
 
-The distributed report types live here: a :class:`TimelineEvent` is one
-interval on a device's compute or transfer engine, a
-:class:`DeviceTimeline` collects them per device, and a
-:class:`DistReport` aggregates the makespan. Compute and transfer
-engines are independent per device (the DMA-overlap assumption every
-real multi-GPU pipeline relies on), so a device may stream boundary data
-out while its next solve runs.
+A :class:`TimelineEvent` is one interval on a device's compute lane or
+one of its transfer lanes, a :class:`DeviceTimeline` collects them per
+device, and a :class:`DistReport` aggregates the makespan. Compute and
+transfer lanes are independent per device (the DMA-overlap assumption
+every real multi-GPU pipeline relies on), so a device may stream
+boundary data out while its next solve runs.
 
-Scheduling itself is no longer hand-rolled here: :func:`schedule_rows`
-and :func:`schedule_batch` lower their cost records into instruction
-:class:`~repro.ir.Program`\\ s (``Fixed`` compute spans + ``Transfer``
-steps with dependency edges and resource claims) and hand them to the
-shared :class:`~repro.ir.Engine`, the same interpreter that prices and
-executes single-device solves. The distributed solver bypasses this
-wrapper entirely — it lowers its :class:`~repro.dist.plan.DistPlan`
-straight to a program — but the cost-record API remains for callers that
-already priced their local solves.
+Reports are produced by the shared :class:`~repro.ir.Engine`, which
+prices a lowered :class:`~repro.dist.plan.DistPlan` program; this module
+only holds their shape. :func:`render_dist_timeline` draws one row per
+event, :func:`render_overlap_gantt` one row per lane, and
+:func:`failover_report` splices a recovery run after an aborted one.
 
-Rows mode offers two schedules:
-
-- ``fused`` — one three-RHS local solve per device, then one boundary
-  message. Minimum compute (a single launch sequence) but zero overlap.
-- ``split`` — the two coupling spikes solve first; their boundary values
-  stream to the reduced-system host *while* the data solve runs, and
-  only the small data-boundary message remains on the critical path.
-  More launches, but communication hides behind compute.
-
-``schedule_rows(..., schedule="auto")`` prices both and keeps the faster
-— the same auto-tuning reflex the paper applies to switch points, now
-applied to the interconnect. Batch mode pipelines the scatter: the host
-pushes shard ``i+1`` over the wire while shard ``i`` already computes.
-
-The resulting :class:`DistReport` mirrors the single-device
+:class:`DistReport` mirrors the single-device
 :class:`~repro.gpu.executor.SimReport` interface (``total_ms``,
 ``stage_ms``, ``describe``) so service stats and benchmarks treat local
 and distributed solves uniformly; ``total_ms`` is the *makespan* across
@@ -44,20 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from ..ir.engine import Engine
-from ..ir.instructions import Fixed, Program, Step, Transfer
 from ..util.errors import ConfigurationError
-from .topology import Interconnect
 
 __all__ = [
     "TimelineEvent",
     "DeviceTimeline",
     "DistReport",
-    "RowsCosts",
-    "BatchCosts",
-    "schedule_rows",
-    "schedule_batch",
-    "single_device_report",
     "render_dist_timeline",
     "render_overlap_gantt",
     "failover_report",
@@ -69,16 +42,15 @@ class TimelineEvent:
     """One scheduled interval on a device's compute or transfer engine.
 
     ``lane`` names the per-device scheduler lane the interval occupied:
-    ``"compute"``, ``"out"`` (egress transfer), or ``"in"`` (ingress
-    transfer). Legacy producers may leave it empty, in which case
-    renderers fall back to ``kind``.
+    ``"compute"``, ``"out"`` (egress transfer), ``"in"`` (ingress
+    transfer), or ``"xfer"`` (a device-local transfer).
     """
 
     kind: str  # "compute" | "xfer"
     label: str
     start_ms: float
     end_ms: float
-    lane: str = ""
+    lane: str
 
     def __post_init__(self) -> None:
         if self.end_ms < self.start_ms or self.start_ms < 0:
@@ -219,7 +191,7 @@ def render_overlap_gantt(report: DistReport, *, width: int = 60) -> str:
     for timeline in report.timelines:
         lanes: Dict[str, List[TimelineEvent]] = {}
         for event in timeline.events:
-            lanes.setdefault(event.lane or event.kind, []).append(event)
+            lanes.setdefault(event.lane, []).append(event)
         for lane in _LANE_ORDER:
             events = lanes.pop(lane, None)
             if not events:
@@ -244,264 +216,6 @@ def render_overlap_gantt(report: DistReport, *, width: int = 60) -> str:
         f"{_LANE_MARKS['in']} ingress (in)"
     )
     return "\n".join(lines)
-
-
-# -- cost records ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RowsCosts:
-    """Per-device priced quantities for a rows-mode (SPIKE) solve."""
-
-    fused_ms: float  # one three-RHS local solve
-    spikes_ms: float  # the two coupling spikes alone
-    data_ms: float  # the data right-hand side alone
-    reconstruct_ms: float  # x = y - w t - v s over the chunk
-    boundary_nbytes: float  # all six boundary values per system
-    spike_nbytes: float  # the four spike boundary values
-    data_nbytes: float  # the two data boundary values
-    correction_nbytes: float  # (t_prev, s_next) per system
-
-
-@dataclass(frozen=True)
-class BatchCosts:
-    """Per-device priced quantities for a batch-mode (sharded) solve."""
-
-    compute_ms: float  # the shard's local solve
-    input_nbytes: float  # four coefficient arrays in
-    output_nbytes: float  # one solution array back
-
-
-# -- program assembly ------------------------------------------------------
-#
-# Pre-priced spans become Fixed steps; byte counts become Transfer steps
-# with dtype_size=1 and shape=(1, 0) so the engine's
-# values*num_systems*dtype_size product reproduces the byte count
-# verbatim.
-
-_UNIT = (1, 0)
-
-
-def _price(
-    interconnect: Interconnect,
-    device_names: Sequence[str],
-    steps: List[Step],
-    schedule: str,
-    group_label: str,
-) -> DistReport:
-    program = Program(
-        kind="dist",
-        label=group_label,
-        device_names=tuple(device_names),
-        dtype_size=1,
-        num_systems=1,
-        system_size=0,
-        schedule=schedule,
-        topology=interconnect.describe(),
-        steps=tuple(steps),
-    )
-    engine = Engine(device_names, interconnect=interconnect, label=group_label)
-    return engine.price(program).report
-
-
-def _rows_tail(
-    steps: List[Step],
-    costs: Sequence[RowsCosts],
-    boundary_sends: Sequence[int],
-    reduced_ms: float,
-    host: int,
-) -> None:
-    """Shared tail of both rows schedules: reduce, scatter, reconstruct."""
-    steps.append(
-        Step(
-            op=Fixed(reduced_ms),
-            device=host,
-            stage="reduced_solve",
-            shape=_UNIT,
-            deps=tuple(boundary_sends),
-        )
-    )
-    reduced = len(steps) - 1
-    for i, cost in enumerate(costs):
-        steps.append(
-            Step(
-                op=Transfer(cost.correction_nbytes, host, i),
-                device=i,
-                engine="xfer",
-                stage="recv_correction",
-                shape=_UNIT,
-                deps=(reduced,),
-            )
-        )
-        steps.append(
-            Step(
-                op=Fixed(cost.reconstruct_ms),
-                device=i,
-                stage="reconstruct",
-                shape=_UNIT,
-                deps=(len(steps) - 1,),
-            )
-        )
-
-
-def schedule_rows(
-    interconnect: Interconnect,
-    device_names: Sequence[str],
-    costs: Sequence[RowsCosts],
-    reduced_ms: float,
-    *,
-    schedule: str = "auto",
-    host: int = 0,
-    group_label: str = "",
-) -> DistReport:
-    """Schedule a rows-mode solve; ``auto`` keeps the faster schedule."""
-    if len(device_names) != len(costs) or not costs:
-        raise ConfigurationError("one cost record per device is required")
-    if schedule == "auto":
-        fused = schedule_rows(
-            interconnect, device_names, costs, reduced_ms,
-            schedule="fused", host=host, group_label=group_label,
-        )
-        split = schedule_rows(
-            interconnect, device_names, costs, reduced_ms,
-            schedule="split", host=host, group_label=group_label,
-        )
-        return fused if fused.total_ms <= split.total_ms else split
-    if schedule not in ("fused", "split"):
-        raise ConfigurationError(f"unknown rows schedule {schedule!r}")
-
-    steps: List[Step] = []
-    boundary_sends: List[int] = []
-    for i, cost in enumerate(costs):
-        if schedule == "fused":
-            steps.append(
-                Step(
-                    op=Fixed(cost.fused_ms),
-                    device=i,
-                    stage="local_solve",
-                    shape=_UNIT,
-                )
-            )
-            last, nbytes = len(steps) - 1, cost.boundary_nbytes
-        else:
-            steps.append(
-                Step(
-                    op=Fixed(cost.spikes_ms),
-                    device=i,
-                    stage="spike_solve",
-                    shape=_UNIT,
-                )
-            )
-            spike = len(steps) - 1
-            steps.append(
-                Step(
-                    op=Transfer(cost.spike_nbytes, i, host),
-                    device=i,
-                    engine="xfer",
-                    stage="send_spikes",
-                    shape=_UNIT,
-                    deps=(spike,),
-                )
-            )
-            # The data solve waits on the spike *compute*; its boundary
-            # message then queues behind the spike message on the
-            # device's transfer engine (resource contention).
-            steps.append(
-                Step(
-                    op=Fixed(cost.data_ms),
-                    device=i,
-                    stage="data_solve",
-                    shape=_UNIT,
-                    deps=(spike,),
-                )
-            )
-            last, nbytes = len(steps) - 1, cost.data_nbytes
-        steps.append(
-            Step(
-                op=Transfer(nbytes, i, host),
-                device=i,
-                engine="xfer",
-                stage="send_boundary",
-                shape=_UNIT,
-                deps=(last,),
-            )
-        )
-        boundary_sends.append(len(steps) - 1)
-    _rows_tail(steps, costs, boundary_sends, reduced_ms, host)
-    return _price(interconnect, device_names, steps, schedule, group_label)
-
-
-def schedule_batch(
-    interconnect: Interconnect,
-    device_names: Sequence[str],
-    costs: Sequence[BatchCosts],
-    *,
-    host: int = 0,
-    group_label: str = "",
-) -> DistReport:
-    """Schedule a batch-mode solve with a pipelined scatter/gather.
-
-    The host's egress link serialises the scatter (shard ``i+1`` streams
-    while shard ``i`` computes — the pipeline), its ingress link
-    serialises the gather in completion order, and the host's own shard
-    computes concurrently with both (separate engines).
-    """
-    if len(device_names) != len(costs) or not costs:
-        raise ConfigurationError("one cost record per device is required")
-    p = len(costs)
-    steps: List[Step] = []
-    local_idx: List[int] = [0] * p
-    for i, cost in enumerate(costs):
-        deps: Tuple[int, ...] = ()
-        if i != host:
-            # The scheduler's lane model serialises this on the host's
-            # egress automatically (the transfer's source endpoint).
-            steps.append(
-                Step(
-                    op=Transfer(cost.input_nbytes, host, i),
-                    device=i,
-                    engine="xfer",
-                    stage="recv_coeffs",
-                    shape=_UNIT,
-                )
-            )
-            deps = (len(steps) - 1,)
-        steps.append(
-            Step(
-                op=Fixed(cost.compute_ms),
-                device=i,
-                stage="local_solve",
-                shape=_UNIT,
-                deps=deps,
-            )
-        )
-        local_idx[i] = len(steps) - 1
-
-    # The gather serialises in completion order; replicate the schedule
-    # arithmetic the engine will perform to know that order up front.
-    compute_end: List[float] = [0.0] * p
-    egress_free = 0.0
-    for i, cost in enumerate(costs):
-        if i == host:
-            compute_end[i] = cost.compute_ms
-            continue
-        t_in = interconnect.transfer_ms(cost.input_nbytes, host, i, p)
-        egress_free = egress_free + t_in
-        compute_end[i] = egress_free + cost.compute_ms
-    for i in sorted(range(p), key=lambda j: compute_end[j]):
-        if i == host:
-            continue
-        steps.append(
-            Step(
-                op=Transfer(costs[i].output_nbytes, i, host),
-                device=i,
-                engine="xfer",
-                stage="send_solution",
-                shape=_UNIT,
-                deps=(local_idx[i],),
-            )
-        )
-    return _price(interconnect, device_names, steps, "pipelined", group_label)
 
 
 def failover_report(
@@ -540,18 +254,4 @@ def failover_report(
         group_label=aborted.group_label,
         schedule=f"failover:{recovery.schedule}",
         timelines=timelines,
-    )
-
-
-def single_device_report(
-    device_name: str, local_ms: float, *, group_label: str = ""
-) -> DistReport:
-    """The degenerate one-device report: a single local solve, no comm."""
-    timeline = DeviceTimeline(
-        0,
-        device_name,
-        (TimelineEvent("compute", "local_solve", 0.0, local_ms),),
-    )
-    return DistReport(
-        group_label=group_label, schedule="fused", timelines=(timeline,)
     )

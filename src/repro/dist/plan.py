@@ -52,7 +52,6 @@ from .partition import batch_shares
 __all__ = ["DistPlan", "batch_shares"]
 
 MODES = ("rows", "batch", "approx", "pipelined")
-ROWS_SCHEDULES = ("fused", "split")
 # Modes that decompose by rows and share the SPIKE 3-RHS local solves
 # (and hence the 3m widening rule and chunk-derived signatures).
 ROWS_LIKE_MODES = ("rows", "approx", "pipelined")
@@ -67,7 +66,7 @@ class DistPlan:
     num_systems: int  # m, the workload's system count
     system_size: int  # n, raw (pre-padding) size
     chunk_sizes: Tuple[int, ...]  # rows: per-device rows; batch: per-device m
-    schedule: str  # rows: "fused" | "split"; batch: "pipelined"
+    schedule: str  # rows/approx: "fused"; batch/pipelined: "pipelined"
     topology: str  # Interconnect.describe() of the group
     device_name: str  # name of the (homogeneous) member devices
     local_plans: Tuple[SolvePlan, ...]  # one per active device
@@ -142,19 +141,17 @@ class DistPlan:
             local_plans=local,
         )
 
-    def lower(self, group, dtype_size: int, switch, *, fuse: bool = False):
+    def lower(self, group, dtype_size: int, *, fuse: bool = False):
         """Lower to a multi-device :class:`~repro.ir.Program`.
 
-        ``switch`` is the group's resolved switch points (the split rows
-        schedule re-plans the spike and data solves). With ``fuse=True``
-        the local fragments lower as interleaved batched sweeps (the
-        pipelined mode always fuses). The program is what the shared
-        :class:`~repro.ir.Engine` prices into the distributed makespan
-        report.
+        With ``fuse=True`` the local fragments lower as interleaved
+        batched sweeps (the pipelined mode always fuses). The program is
+        what the shared :class:`~repro.ir.Engine` prices into the
+        distributed makespan report.
         """
         from ..ir.lower import lower_dist_plan
 
-        return lower_dist_plan(self, group, dtype_size, switch, fuse=fuse)
+        return lower_dist_plan(self, group, dtype_size, fuse=fuse)
 
     def describe(self) -> str:
         """Multi-line human-readable plan."""

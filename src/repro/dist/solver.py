@@ -104,9 +104,6 @@ class DistributedSolver:
     mode:
         ``"rows"``, ``"batch"``, ``"approx"``, ``"pipelined"``, or
         ``"auto"`` (price every feasible mode, keep the fastest).
-    schedule:
-        Rows-mode exchange schedule: ``"fused"``, ``"split"``, or
-        ``"auto"`` (price both, keep the faster).
     faults:
         Optional :class:`~repro.faults.FaultInjector` (or a bare
         :class:`~repro.faults.FaultPlan`). Local solves then run under
@@ -125,7 +122,6 @@ class DistributedSolver:
         link="pcie3",
         topology: str = "all_to_all",
         mode: str = "auto",
-        schedule: str = "auto",
         cache: Union[TuningCache, str, None] = None,
         verify: bool = False,
         faults=None,
@@ -139,10 +135,7 @@ class DistributedSolver:
         self.group = group
         if mode not in ("auto", "rows", "batch", "approx", "pipelined"):
             raise ConfigurationError(f"unknown dist mode {mode!r}")
-        if schedule not in ("auto", "fused", "split"):
-            raise ConfigurationError(f"unknown rows schedule {schedule!r}")
         self.mode = mode
-        self.schedule = schedule
         self.verify = verify
         self.cache = cache if isinstance(cache, TuningCache) else TuningCache(cache)
         self._tuning = tuning
@@ -246,7 +239,7 @@ class DistributedSolver:
             program = self._programs.get(key)
         if program is not None:
             return program
-        program = plan.lower(self.group, dsize, self.switch_points_for(dsize))
+        program = plan.lower(self.group, dsize)
         with self._lock:
             return self._programs.setdefault(key, program)
 
@@ -298,12 +291,7 @@ class DistributedSolver:
         if self.mode != "auto":
             modes: Tuple[str, ...] = (self.mode,)
         else:
-            # The pipelined candidate joins only under schedule="auto":
-            # an explicit fused/split schedule pins the rows exchange,
-            # and the pipelined sweep is neither.
-            modes = ("rows", "batch")
-            if self.schedule == "auto":
-                modes = modes + ("pipelined",)
+            modes = ("rows", "batch", "pipelined")
             if approx_allowed:
                 modes = modes + ("approx",)
         for mode in modes:
@@ -330,27 +318,6 @@ class DistributedSolver:
         with self._lock:
             return self._planned.setdefault(key, best)
 
-    def _rows_plan(
-        self,
-        m: int,
-        n: int,
-        chunk_sizes: Tuple[int, ...],
-        schedule: str,
-        local_plans: Tuple,
-        mode: str = "rows",
-    ) -> DistPlan:
-        return DistPlan(
-            mode=mode,
-            num_devices=len(chunk_sizes),
-            num_systems=m,
-            system_size=n,
-            chunk_sizes=chunk_sizes,
-            schedule=schedule,
-            topology=self.group.interconnect.describe(),
-            device_name=self.group.device_name,
-            local_plans=local_plans,
-        )
-
     def _price_rows(
         self, m: int, n: int, dsize: int, *, mode: str = "rows"
     ) -> Tuple[DistPlan, DistReport]:
@@ -367,46 +334,32 @@ class DistributedSolver:
                     "pipelined mode needs at least two devices (one "
                     "device has no reduced sweep to pipeline)"
                 )
-            local = plan_solve(self.group[0], m, n, dsize, switch)
-            self._check_local_memory(local, dsize)
-            plan = self._rows_plan(m, n, (n,), "fused", (local,))
-            return plan, self._report_for(plan, dsize)
-        bounds = partition_bounds(n, p)
-        chunk_sizes = tuple(stop - start for start, stop in bounds)
-        local_plans = tuple(
-            plan_solve(self.group[i], 3 * m, chunk_sizes[i], dsize, switch)
-            for i in range(p)
-        )
+            chunk_sizes: Tuple[int, ...] = (n,)
+            local_plans = (plan_solve(self.group[0], m, n, dsize, switch),)
+        else:
+            bounds = partition_bounds(n, p)
+            chunk_sizes = tuple(stop - start for start, stop in bounds)
+            local_plans = tuple(
+                plan_solve(self.group[i], 3 * m, chunk_sizes[i], dsize, switch)
+                for i in range(p)
+            )
         for local in local_plans:
             self._check_local_memory(local, dsize)
-        if mode == "approx":
-            # The truncated path keeps the fused 3-RHS local solves; the
-            # split schedule exists to overlap the reduced solve, which
-            # approx mode does not have.
-            plan = self._rows_plan(
-                m, n, chunk_sizes, "fused", local_plans, mode="approx"
-            )
-            return plan, self._report_for(plan, dsize)
-        if mode == "pipelined":
-            # Same chunk split as rows; the lowering fuses the local
-            # solves and sweeps the exact reduced system neighbour to
-            # neighbour, so the fused/split schedule choice is moot.
-            plan = self._rows_plan(
-                m, n, chunk_sizes, "pipelined", local_plans, mode="pipelined"
-            )
-            return plan, self._report_for(plan, dsize)
-        schedules = (
-            ("fused", "split") if self.schedule == "auto" else (self.schedule,)
+        # Rows, approx and pipelined share the chunk split and the 3-RHS
+        # local solves; they differ only in how the lowering exchanges
+        # and solves the reduced coupling.
+        plan = DistPlan(
+            mode=mode,
+            num_devices=p,
+            num_systems=m,
+            system_size=n,
+            chunk_sizes=chunk_sizes,
+            schedule="pipelined" if mode == "pipelined" else "fused",
+            topology=self.group.interconnect.describe(),
+            device_name=self.group.device_name,
+            local_plans=local_plans,
         )
-        best = None
-        for sched in schedules:
-            plan = self._rows_plan(m, n, chunk_sizes, sched, local_plans)
-            report = self._report_for(plan, dsize)
-            # Ties keep the earlier (fused) schedule, matching the
-            # historical auto rule.
-            if best is None or report.total_ms < best[1].total_ms:
-                best = (plan, report)
-        return best
+        return plan, self._report_for(plan, dsize)
 
     def _price_batch(
         self, m: int, n: int, dsize: int
@@ -431,8 +384,10 @@ class DistributedSolver:
         for local in local_plans:
             self._check_local_memory(local, dsize)
         if len(shares) != p:
-            # Fewer systems than devices: no full scatter exists.
-            raise ConfigurationError("one cost record per device is required")
+            raise ConfigurationError(
+                f"batch mode needs at least one system per device; "
+                f"{m} systems cannot shard across {p} devices"
+            )
         plan = DistPlan(
             mode="batch",
             num_devices=p,
@@ -493,11 +448,8 @@ class DistributedSolver:
         plan, _ = self.price(
             m, n, dsize, tolerance=tolerance if approx_admissible else None
         )
-        if plan.mode == "approx" and not approx_admissible:
-            # mode="approx" was forced but the estimate says unsafe;
-            # still run it — the ladder below catches what the bound
-            # could not promise.
-            pass
+        # A forced mode="approx" runs even when the estimate says unsafe;
+        # the ladder below catches what the bound could not promise.
         result = self.execute_plan(batch, plan)
         path = "approx" if plan.mode == "approx" else "exact"
 
@@ -676,7 +628,6 @@ class DistributedSolver:
             subgroup,
             switch,
             mode="auto",
-            schedule=self.schedule,
             cache=self.cache,
             faults=inj.for_survivors(survivors),
             metrics=self.metrics,

@@ -4,7 +4,7 @@ A :class:`LinkSpec` prices one point-to-point transfer the same way the
 kernel cost model prices a launch — a fixed latency plus a
 bandwidth-proportional term — so interconnect time and kernel time live
 in the same simulated-milliseconds currency and can be compared,
-overlapped, and summed by the :mod:`repro.dist.pipeline` scheduler.
+overlapped, and summed by the :class:`~repro.ir.Engine` list scheduler.
 
 An :class:`Interconnect` adds the wiring: ``all_to_all`` (every pair one
 hop — NVLink-switch or PCIe-switch style) or ``ring`` (neighbour links

@@ -10,7 +10,6 @@ from .engine import Engine, EngineRun, StepTrace
 from .instructions import (
     Barrier,
     BatchedSolve,
-    Fixed,
     Interleave,
     OnChipSolve,
     Pad,
@@ -49,7 +48,6 @@ __all__ = [
     "Reconstruct",
     "Transfer",
     "Barrier",
-    "Fixed",
     "signature_text",
     "Engine",
     "EngineRun",

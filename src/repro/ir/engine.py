@@ -53,7 +53,7 @@ from ..gpu.cost import kernel_time_ms
 from ..gpu.executor import Device
 from ..kernels.base import KernelContext
 from ..util.errors import FaultInjectionError, PlanError, ReproError
-from .instructions import Fixed, Program, Step, Transfer, signature_text
+from .instructions import Program, Step, Transfer, signature_text
 
 
 def _handlers():
@@ -107,13 +107,7 @@ class EngineRun:
 
 
 class Engine:
-    """Interprets programs against a set of (simulated) devices.
-
-    ``devices`` entries may be :class:`Device` objects or bare name
-    strings — names suffice for programs made only of ``Fixed`` and
-    ``Transfer`` steps (the legacy scheduler wrappers); kernel opcodes
-    need real devices for the cost model.
-    """
+    """Interprets programs against a set of (simulated) devices."""
 
     def __init__(
         self, devices, interconnect=None, label: str = "", injector=None,
@@ -465,8 +459,6 @@ class Engine:
     def _step_duration(self, step: Step, program: Program) -> float:
         """Simulated duration of one non-marker step."""
         op = step.op
-        if isinstance(op, Fixed):
-            return op.ms
         if isinstance(op, Transfer):
             if self.interconnect is None:
                 raise PlanError(

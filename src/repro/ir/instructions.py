@@ -37,7 +37,6 @@ __all__ = [
     "Reconstruct",
     "Transfer",
     "Barrier",
-    "Fixed",
     "Step",
     "Program",
     "MARKER_OPS",
@@ -161,17 +160,6 @@ class Transfer:
 @dataclass(frozen=True)
 class Barrier:
     """Pure dependency aggregator; no cost, no event."""
-
-
-@dataclass(frozen=True)
-class Fixed:
-    """A pre-priced span of ``ms`` simulated milliseconds.
-
-    Escape hatch for the legacy :mod:`repro.dist.pipeline` scheduler
-    API, whose callers hand in already-priced per-device costs.
-    """
-
-    ms: float
 
 
 # Opcodes that are bookkeeping only: never priced, never drawn on a

@@ -6,8 +6,8 @@ spelled out as steps. :func:`lower_dist_plan` turns a
 :class:`~repro.dist.plan.DistPlan` into a multi-device ``dist`` program:
 the same local solve fragments placed per device, plus the transfers,
 the SPIKE reduced solve, and the reconstruction, with dependency edges
-and resource claims encoding exactly the overlap structure the pipeline
-scheduler used to hand-roll.
+and resource claims encoding the overlap structure the engine's list
+scheduler prices.
 
 Every lowering runs the default pass pipeline, so zero-step splits and
 zero-byte transfers never reach the engine.
@@ -39,11 +39,10 @@ __all__ = ["lower_solve_plan", "lower_dist_plan", "concat_solve_programs"]
 
 _SOLVE_STAGES = ("stage1_coop_pcr", "stage2_global_pcr", "stage3_pcr_thomas")
 
-# Values exchanged per system in rows mode (see repro.dist.solver): the
-# four spike boundary values, the two data boundary values, and the two
-# correction values coming back.
-_SPIKE_VALUES = 4.0
-_DATA_VALUES = 2.0
+# Values exchanged per system in rows mode (see repro.dist.solver): six
+# boundary values out (four spike, two data) and two correction values
+# coming back.
+_BOUNDARY_VALUES = 6.0
 _CORRECTION_VALUES = 2.0
 
 # Approx (truncated-SPIKE) mode moves only neighbour-to-neighbour
@@ -184,17 +183,15 @@ def _local_fragment(
 
 
 def lower_dist_plan(
-    plan, group, dtype_size: int, switch, *, fuse: bool = False
+    plan, group, dtype_size: int, *, fuse: bool = False
 ) -> Program:
     """Lower a :class:`DistPlan` to a multi-device ``dist`` program.
 
-    ``switch`` is the group's resolved switch points — the split rows
-    schedule re-plans the spike and data solves separately, exactly as
-    the pipeline pricing used to. With ``fuse=True`` the batched-fusion
-    pass rewrites every self-contained local fragment into interleaved
-    sweeps (the multi-device composition of ``--fuse``); the pipelined
-    mode fuses unconditionally — interleaved local solves are part of
-    its definition.
+    With ``fuse=True`` the batched-fusion pass rewrites every
+    self-contained local fragment into interleaved sweeps (the
+    multi-device composition of ``--fuse``); the pipelined mode fuses
+    unconditionally — interleaved local solves are part of its
+    definition.
     """
     if plan.mode == "batch":
         return _lower_batch(plan, group, dtype_size, fuse=fuse)
@@ -202,12 +199,10 @@ def lower_dist_plan(
         return _lower_pipelined(plan, group, dtype_size)
     if plan.mode == "approx" and plan.num_devices > 1:
         return _lower_approx(plan, group, dtype_size, fuse=fuse)
-    return _lower_rows(plan, group, dtype_size, switch, fuse=fuse)
+    return _lower_rows(plan, group, dtype_size, fuse=fuse)
 
 
-def _lower_rows(plan, group, dtype_size: int, switch, *, fuse: bool = False) -> Program:
-    from ..core.planner import plan_solve
-
+def _lower_rows(plan, group, dtype_size: int, *, fuse: bool = False) -> Program:
     p = plan.num_devices
     m = plan.num_systems
     label = group.describe()
@@ -233,32 +228,7 @@ def _lower_rows(plan, group, dtype_size: int, switch, *, fuse: bool = False) -> 
     steps = []
     boundary_sends: List[int] = []
     for i, chunk in enumerate(plan.chunk_sizes):
-        if plan.schedule == "fused":
-            last = _local_fragment(
-                steps, plan.local_plans[i], i, "local_solve", ()
-            )
-            values = _SPIKE_VALUES + _DATA_VALUES
-        else:
-            spike_plan = plan_solve(group[i], 2 * m, chunk, dtype_size, switch)
-            spike_last = _local_fragment(steps, spike_plan, i, "spike_solve", ())
-            steps.append(
-                Step(
-                    op=Transfer(_SPIKE_VALUES, i, 0),
-                    device=i,
-                    engine="xfer",
-                    stage="send_spikes",
-                    shape=(m, chunk),
-                    deps=(spike_last,),
-                )
-            )
-            data_plan = plan_solve(group[i], m, chunk, dtype_size, switch)
-            # The data solve waits on the spike *compute*, not the spike
-            # message; the device's egress lane queues the boundary
-            # message behind the spike message by lane contention.
-            last = _local_fragment(
-                steps, data_plan, i, "data_solve", (spike_last,)
-            )
-            values = _DATA_VALUES
+        last = _local_fragment(steps, plan.local_plans[i], i, "local_solve", ())
         # Boundary messages physically converge on device 0: every
         # cross-device transfer claims the destination's ingress lane
         # (see Step.resource_keys), so the hub serialisation falls out
@@ -267,7 +237,7 @@ def _lower_rows(plan, group, dtype_size: int, switch, *, fuse: bool = False) -> 
         # high device counts comes from here.
         steps.append(
             Step(
-                op=Transfer(values, i, 0),
+                op=Transfer(_BOUNDARY_VALUES, i, 0),
                 device=i,
                 engine="xfer",
                 stage="send_boundary",

@@ -46,7 +46,6 @@ from typing import Dict, List, Optional, Tuple
 from ..util.errors import PlanError
 from .instructions import (
     BatchedSolve,
-    Fixed,
     Interleave,
     OnChipSolve,
     Pad,
@@ -140,8 +139,8 @@ def infer_dependencies(program: Program) -> Program:
     program order; dependency edges are its only correctness
     constraint. Every lowering in this package emits explicit edges,
     so this pass is a no-op on them — but a hand-assembled dist program
-    (the legacy cost-record wrappers, tests, external callers) may have
-    relied on program order within one device engine for correctness.
+    (tests, external callers) may have relied on program order within
+    one device engine for correctness.
     This pass makes that implicit order explicit: a non-marker step
     with *no* dependencies that follows another non-marker step on the
     same ``(device, engine)`` lane gains an edge on it. Steps that
@@ -370,8 +369,6 @@ def validate(program: Program) -> Program:
                     raise PlanError(
                         f"{ident} transfers via device {end} of {p}"
                     )
-        if isinstance(step.op, Fixed) and program.kind == "solve":
-            raise PlanError(f"{ident}: solve programs carry no fixed spans")
     return program
 
 

@@ -58,8 +58,8 @@ __all__ = ["ExecState", "price_costs", "execute_step"]
 def price_costs(step: Step, ctx: KernelContext, dtype_size: int) -> List:
     """The kernel cost records ``step`` submits, in submission order.
 
-    Markers and non-kernel opcodes (``Transfer``/``Fixed``, priced by
-    the engine itself) return an empty list.
+    Markers and ``Transfer`` (priced by the engine itself) return an
+    empty list.
     """
     op = step.op
     m, n = step.shape

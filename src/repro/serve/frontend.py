@@ -231,17 +231,23 @@ class AsyncSolveService:
         priority: Optional[str] = None,
         tolerance: Optional[float] = None,
     ) -> List[ServiceResult]:
-        """Submit a stream, flush once, gather in submission order."""
-        futures = [
-            await self.submit(
-                batch,
-                device,
-                tenant=tenant,
-                priority=priority,
-                tolerance=tolerance,
+        """Submit a stream, flush, gather in submission order.
+
+        Like :meth:`solve_many_sync`, flushes whenever the queue fills.
+        """
+        futures = []
+        for batch in batches:
+            if self.service.queue_full:
+                self.flush()
+            futures.append(
+                await self.submit(
+                    batch,
+                    device,
+                    tenant=tenant,
+                    priority=priority,
+                    tolerance=tolerance,
+                )
             )
-            for batch in batches
-        ]
         self.flush()
         return list(await asyncio.gather(*futures))
 
@@ -254,17 +260,24 @@ class AsyncSolveService:
         priority: Optional[str] = None,
         tolerance: Optional[float] = None,
     ) -> List[ServiceResult]:
-        """The sync facade of :meth:`solve_many` — same path, no loop."""
-        futures = [
-            self.submit_sync(
-                batch,
-                device,
-                tenant=tenant,
-                priority=priority,
-                tolerance=tolerance,
+        """The sync facade of :meth:`solve_many` — same path, no loop.
+
+        The queue is flushed whenever it fills, so more than
+        ``max_pending`` batches never block the caller on itself.
+        """
+        futures = []
+        for batch in batches:
+            if self.service.queue_full:
+                self.flush()
+            futures.append(
+                self.submit_sync(
+                    batch,
+                    device,
+                    tenant=tenant,
+                    priority=priority,
+                    tolerance=tolerance,
+                )
             )
-            for batch in batches
-        ]
         self.flush()
         return [future.result() for future in futures]
 

@@ -481,6 +481,12 @@ class BatchSolveService:
             self.flush()
         return request.future
 
+    @property
+    def queue_full(self) -> bool:
+        """Whether ``max_pending`` requests wait: the next submit blocks
+        (or is rejected) until a flush makes room."""
+        return self._queue.pending >= self._queue.max_pending
+
     def flush(self) -> int:
         """Group everything pending and dispatch the groups to the pool.
 
@@ -664,8 +670,16 @@ class BatchSolveService:
         batches: Sequence[TridiagonalBatch],
         device: Union[Device, str, None] = None,
     ) -> List[ServiceResult]:
-        """Submit ``batches``, flush, and wait; results in input order."""
-        futures = [self.submit(batch, device) for batch in batches]
+        """Submit ``batches``, flush, and wait; results in input order.
+
+        The queue is flushed whenever it fills, so more than
+        ``max_pending`` batches never block the caller on itself.
+        """
+        futures = []
+        for batch in batches:
+            if self.queue_full:
+                self.flush()
+            futures.append(self.submit(batch, device))
         self.flush()
         return [fut.result() for fut in futures]
 

@@ -71,11 +71,10 @@ class TestEquivalence:
         result = DistributedSolver(4, mode="batch").solve(batch)
         np.testing.assert_array_equal(result.x, single_device_reference(batch))
 
-    @pytest.mark.parametrize("schedule", ["fused", "split"])
-    def test_rows_schedules_agree(self, schedule):
+    def test_rows_mode_lowers_fused(self):
         batch = generators.random_dominant(2, 2048, rng=8)
-        result = DistributedSolver(4, schedule=schedule, verify=True).solve(batch)
-        assert result.plan.schedule == schedule
+        result = DistributedSolver(4, mode="rows", verify=True).solve(batch)
+        assert result.plan.schedule == "fused"
         assert rel_error(result.x, single_device_reference(batch)) <= REL_TOL_F64
 
 
@@ -178,6 +177,12 @@ class TestDistPlan:
             DistributedSolver(16, mode="rows").price(1, 20, 8)
         with pytest.raises(ConfigurationError):
             DistributedSolver(4, mode="batch").price(4, 1 << 20, 8)
+
+    def test_batch_mode_names_too_few_systems(self):
+        with pytest.raises(
+            ConfigurationError, match="2 systems cannot shard across 4 devices"
+        ):
+            DistributedSolver(4, mode="batch").price(2, 128, 8)
 
 
 def shrunken_device(mem_bytes=2_000_000):

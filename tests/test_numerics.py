@@ -239,15 +239,20 @@ class TestGovernedSolves:
         assert batch.residual(result.x).max() <= 1e-8
 
     def test_auto_mode_only_prices_approx_when_governed(self):
-        # Pin the rows schedule so the (exact, usually faster) pipelined
-        # candidate stays out of the race — this test is about the
-        # tolerance gate on approx, not the schedule tournament.
-        solver = DistributedSolver(8, schedule="fused")
+        # At 16 devices on 4 x 2^16 exact rows wins the ungoverned race
+        # and truncated approx the governed one; a tolerance only adds
+        # the approx candidate, so the governed price is the cheaper of
+        # the two.
+        solver = DistributedSolver(16)
         m, n = 4, 1 << 16
-        ungoverned, _ = solver.price(m, n, 8)
-        governed, _ = solver.price(m, n, 8, tolerance=1e-6)
-        assert ungoverned.mode != "approx"
+        ungoverned, ungoverned_report = solver.price(m, n, 8)
+        governed, governed_report = solver.price(m, n, 8, tolerance=1e-6)
+        _, approx_report = DistributedSolver(16, mode="approx").price(m, n, 8)
+        assert ungoverned.mode == "rows"
         assert governed.mode == "approx"
+        assert governed_report.total_ms == min(
+            ungoverned_report.total_ms, approx_report.total_ms
+        )
 
 
 @pytest.mark.dist

@@ -5,6 +5,7 @@ mix — silent regressions there would otherwise only show up as
 throughput drift, never as a wrong answer.
 """
 
+import asyncio
 import threading
 import time
 
@@ -13,6 +14,7 @@ import pytest
 
 from repro.core import MultiStageSolver, SwitchPoints, plan_solve
 from repro.gpu import make_device
+from repro.serve import AsyncSolveService
 from repro.service import (
     BatchSolveService,
     BoundedRequestQueue,
@@ -270,6 +272,49 @@ class TestBatchSolveService:
         }
         describe = svc.stats.describe()
         assert "2 merged solves" in describe
+
+
+def _run_bounded(call, bound_s: float = 30.0):
+    """Run ``call`` on a daemon thread; fail instead of hanging the suite."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = call()
+        except BaseException as exc:  # re-raised on the test thread
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(bound_s)
+    assert not thread.is_alive(), f"call still blocked after {bound_s} s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+@pytest.mark.parametrize("entry", ["service", "facade_sync", "facade_async"])
+def test_solve_many_past_max_pending_does_not_hang(entry):
+    # More requests than max_pending, with the default overflow="block"
+    # and no auto_flush: solve_many must flush as the queue fills rather
+    # than block on a flush only its own caller could issue.
+    batches = [generators.random_dominant(1, 64, rng=i) for i in range(200)]
+    if entry == "service":
+        svc = BatchSolveService(DEVICE, SWITCH, max_workers=2, max_pending=128)
+        results = _run_bounded(lambda: svc.solve_many(batches))
+    else:
+        svc = AsyncSolveService(DEVICE, SWITCH, workers=2, max_pending=128)
+        if entry == "facade_sync":
+            results = _run_bounded(lambda: svc.solve_many_sync(batches))
+        else:
+            results = _run_bounded(
+                lambda: asyncio.run(svc.solve_many(batches))
+            )
+    svc.close()
+    direct = MultiStageSolver(DEVICE, SWITCH)
+    assert len(results) == len(batches)
+    for batch, res in zip(batches, results):
+        np.testing.assert_array_equal(direct.solve(batch).x, res.x)
 
 
 # ---------------------------------------------------------------------------
