@@ -9,11 +9,12 @@ answers; typical runs land well above it.
 
 The second bench is the serving-tier shoot-out: the same seeded
 Poisson stream through the fixed thread-pool tier and the async tier
-(sharded cache locks, per-tenant admission, autoscaled fleet) via the
-deterministic serving simulation. The acceptance bar: the async tier
-holds p99 where the thread-pool tier saturates into a reject storm.
-Results land in ``benchmarks/results/serve_scaling.json`` (the nightly
-CLI run regenerates the same artefact at 100k requests).
+(per-tenant admission, autoscaled fleet) via the deterministic serving
+simulation. The acceptance bar: the async tier holds p99 where the
+thread-pool tier saturates into a reject storm. Results land in
+``benchmarks/results/serve_scaling.json``; this bench is its only
+writer (the nightly 100k-request CLI run writes its own uncommitted
+file).
 """
 
 import numpy as np
@@ -23,8 +24,7 @@ from _results import write_results
 
 from repro.analysis import ascii_table
 from repro.core import MultiStageSolver
-from repro.serve import ServingSimConfig, compare_tiers
-from repro.service import BatchSolveService
+from repro.service import BatchSolveService, ServingSimConfig, compare_tiers
 from repro.systems import generators
 
 NUM_REQUESTS = 1000
@@ -138,7 +138,6 @@ def test_serve_tier_holds_p99_where_threadpool_saturates(
             "tenants": config.tenants,
             "workers": config.workers,
             "max_workers": config.max_workers,
-            "shards": config.shards,
             "dispatch_ms": config.dispatch_ms,
             "lookup_ms": config.lookup_ms,
         },

@@ -207,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--async",
         action="store_true",
         dest="async_tier",
-        help="benchmark the async serving tier against the thread-pool "
-        "service under simulated load (admission + sharded caches)",
+        help="benchmark the service with admission and autoscaling "
+        "against the plain thread-pool service under simulated load",
     )
     p_serve.add_argument(
         "--tenants",
@@ -228,12 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=12_000.0,
         help="simulated arrival rate in requests/s (default 12000)",
-    )
-    p_serve.add_argument(
-        "--shards",
-        type=int,
-        default=8,
-        help="cache-lock stripes in the async tier (default 8)",
     )
     p_serve.add_argument(
         "--json",
@@ -702,7 +696,7 @@ def _cmd_serve_bench_async(args, out) -> int:
     """
     import json
 
-    from .serve import ServingSimConfig, compare_tiers
+    from .service import ServingSimConfig, compare_tiers
 
     config = ServingSimConfig(
         requests=args.requests,
@@ -711,7 +705,6 @@ def _cmd_serve_bench_async(args, out) -> int:
         tenants=args.tenants,
         device=args.device,
         workers=args.max_workers,
-        shards=args.shards,
         autoscale=args.autoscale,
     )
     reports = compare_tiers(config)
@@ -757,7 +750,6 @@ def _cmd_serve_bench_async(args, out) -> int:
                 "device": config.device,
                 "workers": config.workers,
                 "max_workers": config.max_workers,
-                "shards": config.shards,
                 "autoscale": config.autoscale,
                 "dispatch_ms": config.dispatch_ms,
                 "lookup_ms": config.lookup_ms,

@@ -43,18 +43,13 @@ class TuningCache:
         self._hits = 0
         self._misses = 0
         self._metric = None
-        self._metric_labels: Dict[str, str] = {}
         if self.path is not None and os.path.exists(self.path):
             self._load()
 
-    def attach_metrics(self, registry, **labels) -> None:
+    def attach_metrics(self, registry) -> None:
         """Mirror lookups into an :class:`~repro.obs.MetricsRegistry` as
         ``repro_tuning_cache_lookups_total{result=hit|miss}``. Lookups
         counted before attachment are replayed.
-
-        Extra ``labels`` are attached to every sample — the sharded
-        serving cache uses this to key each shard's series
-        (``shard="3"``) on the one shared counter.
         """
         counter = registry.counter(
             "repro_tuning_cache_lookups_total",
@@ -62,11 +57,10 @@ class TuningCache:
         )
         with self._lock:
             self._metric = counter
-            self._metric_labels = dict(labels)
             if self._hits:
-                counter.inc(self._hits, result="hit", **labels)
+                counter.inc(self._hits, result="hit")
             if self._misses:
-                counter.inc(self._misses, result="miss", **labels)
+                counter.inc(self._misses, result="miss")
 
     @staticmethod
     def key(
@@ -124,11 +118,8 @@ class TuningCache:
             else:
                 self._hits += 1
             metric = self._metric
-            labels = self._metric_labels
         if metric is not None:
-            metric.inc(
-                result="hit" if found is not None else "miss", **labels
-            )
+            metric.inc(result="hit" if found is not None else "miss")
         return found
 
     def put(

@@ -21,9 +21,9 @@ Two phases:
   ``dist_devices`` simulated devices loses one device permanently
   mid-run; every workload must still solve exactly on the survivors,
   with the recovery overhead priced into the reports.
-- **serve phase** — the same request mix through the async serving
-  tier (:class:`~repro.serve.AsyncSolveService`): sharded caches, a
-  deliberately tight :class:`~repro.serve.AdmissionController` (so
+- **serve phase** — the same request mix through a
+  :class:`~repro.service.BatchSolveService` with its serving parts on:
+  a deliberately tight :class:`~repro.service.AdmissionController` (so
   tenant quotas and priority watermarks actually shed), the autoscaler
   resizing the fleet mid-chaos — all under the same transient faults
   and stalls. Admission sheds must be *typed*
@@ -299,7 +299,7 @@ def _run_service_phase(
 def _run_serve_phase(
     seed: int, count: int, transient_p: float, log: FaultLog
 ) -> dict:
-    """The campaign's request mix through the async serving tier.
+    """The campaign's request mix through admission and autoscaling.
 
     Quotas are deliberately tight — a "noisy" batch-class tenant with a
     small pending cap and rate limit sends a third of the traffic — so
@@ -307,11 +307,7 @@ def _run_serve_phase(
     typed. The autoscaler runs too: fleet resizing mid-chaos must not
     cost a single verified answer.
     """
-    from ..serve import (
-        AdmissionController,
-        AsyncSolveService,
-        TenantQuota,
-    )
+    from ..service import AdmissionController, TenantQuota
     from ..util.errors import (
         PriorityShedError,
         TenantQuotaExceededError,
@@ -345,10 +341,9 @@ def _run_serve_phase(
         default_quota=TenantQuota(max_pending=16, priority="standard"),
         clock=_tick,
     )
-    service = AsyncSolveService(
+    service = BatchSolveService(
         verify=True,
-        workers=2,
-        num_shards=4,
+        max_workers=2,
         admission=admission,
         autoscale=True,
         faults=injector,
@@ -368,7 +363,7 @@ def _run_serve_phase(
                 futures.append(
                     (
                         batch,
-                        service.submit_sync(
+                        service.submit(
                             batch,
                             tenant=tenant,
                             priority=priority,

@@ -1,6 +1,6 @@
 """Per-tenant admission control: quotas, priority classes, typed shedding.
 
-The admission controller is the serving tier's front gate. Every
+The admission controller is the service's optional front gate. Every
 request names a **tenant** (billing/isolation unit) and a **priority
 class**; before a request touches the queue the controller checks
 
@@ -28,8 +28,8 @@ low-priority tenant keeps being admitted (the starvation test pins
 this).
 
 Admission returns an :class:`AdmissionTicket`; releasing it (the
-serving frontend does so when the request's future settles) frees the
-tenant's and class's slots. The controller is clock-injectable and
+batched solve service does so when the request's future settles)
+frees the tenant's and class's slots. The controller is clock-injectable and
 fully deterministic for simulated time, which is how the serving
 simulator drives the *production* policy code at 100k requests.
 """

@@ -5,7 +5,7 @@ The autoscaler closes the loop the observability layer opened: the
 already in the :class:`~repro.obs.MetricsRegistry` *are* its inputs —
 it reads the registry like any operator dashboard would, decides a
 target fleet width, and applies it through anything with
-``resize(n)``/``size`` (the real :class:`~repro.serve.fleet
+``resize(n)``/``size`` (the real :class:`~repro.service.fleet
 .ScalableWorkerFleet`, or the simulator's model of one).
 
 Policy (deliberately boring — reviewable over clever):

@@ -1,11 +1,11 @@
 """A worker fleet the autoscaler can grow and shrink at runtime.
 
 ``concurrent.futures.ThreadPoolExecutor`` fixes its size at
-construction; the serving tier needs a pool whose width tracks load.
-:class:`ScalableWorkerFleet` is a minimal executor — ``submit`` /
-``shutdown`` compatible, so :class:`~repro.service.BatchSolveService`
-accepts it via its ``executor=`` hook — backed by a shared work queue
-and N threads, plus :meth:`resize`:
+construction; the service needs a pool whose width tracks load.
+:class:`ScalableWorkerFleet` is the minimal executor every
+:class:`~repro.service.BatchSolveService` runs its merged solves on —
+``submit`` / ``shutdown`` compatible, backed by a shared work queue and
+N threads, plus :meth:`resize`:
 
 - growing spawns threads immediately;
 - shrinking enqueues poison pills, so busy workers finish their merged

@@ -6,26 +6,26 @@ is a *discrete-event simulation* of the serving tier in simulated
 milliseconds — the same currency as the GPU cost model. What is
 simulated and what is real:
 
-- **real**: the :class:`~repro.serve.admission.AdmissionController`
+- **real**: the :class:`~repro.service.admission.AdmissionController`
   (typed quota/priority shedding), the
-  :class:`~repro.serve.autoscaler.Autoscaler` (reading the same
+  :class:`~repro.service.autoscaler.Autoscaler` (reading the same
   metric names off a real :class:`~repro.obs.MetricsRegistry`), the
   priced per-group solve times (taken from the repo's own cost model
   via :func:`repro.core.simulate_plan` and fitted affine in merged
   batch height), and the grouping rule (plan-signature keyed).
 - **simulated**: Poisson arrivals, the clock, worker occupancy, and
-  cache-lock serialisation (each lookup holds its stripe's lock for
-  ``lookup_ms``; one stripe models today's single-lock
-  ``TuningCache``, N stripes model the sharded cache).
+  cache-lock serialisation (each lookup holds the
+  :class:`~repro.core.TuningCache` lock for ``lookup_ms``).
 
-Two tier models run over the *same* seeded arrival stream:
+Two tier models run over the *same* seeded arrival stream, both behind
+the one cache lock:
 
-- ``threadpool`` — today's :class:`~repro.service.BatchSolveService`
-  shape: fixed workers, one cache lock, a single bounded queue that
-  sheds with untyped rejects when its backlog bound is hit.
-- ``async`` — the new tier: sharded cache locks, per-tenant admission
-  with priority classes, and the autoscaler resizing the fleet from
-  queue depth + latency p99.
+- ``threadpool`` — :class:`~repro.service.BatchSolveService` without
+  its optional parts: fixed workers, a single bounded queue that sheds
+  with untyped rejects when its backlog bound is hit.
+- ``async`` — the same service with admission and autoscaling on:
+  per-tenant quotas with priority classes, and the autoscaler resizing
+  the fleet from queue depth + latency p99.
 
 The report carries p50/p99/mean latency of served requests, shed
 counts by typed reason, the worker trajectory, and the autoscaler's
@@ -50,7 +50,6 @@ from ..util.errors import (
 )
 from .admission import AdmissionController, TenantQuota
 from .autoscaler import Autoscaler, AutoscalerPolicy
-from .shards import ShardedTuningCache
 
 __all__ = [
     "ServingSimConfig",
@@ -83,7 +82,6 @@ class ServingSimConfig:
     flush_every_ms: float = 5.0  # batching window / autoscaler tick
     lookup_ms: float = 0.05  # cache-lock hold per request
     dispatch_ms: float = 2.0  # host-side worker time per merged solve
-    shards: int = 8  # async tier's cache stripes
     max_pending: int = 1024  # thread-pool tier's queue bound
     capacity: int = 512  # admission capacity (async tier)
     latency_slo_ms: float = 200.0  # autoscaler p99 trigger
@@ -287,10 +285,10 @@ def simulate_serving(
         )
         admission.attach_metrics(registry)
 
-    lock_free = [0.0] * (config.shards if is_async else 1)
+    lock_free = 0.0
     # Admitted requests waiting for a flush, as (lookup-done-at, request):
-    # a request only joins a group once its cache lookup has cleared its
-    # lock stripe, so a saturated lock shows up as latency.
+    # a request only joins a group once its cache lookup has cleared the
+    # lock, so a saturated lock shows up as latency.
     pending: List[Tuple[float, _Arrival]] = []
     group_queue: List[Tuple[Tuple, List[_Arrival]]] = []  # formed, undrained
     release_heap: List[Tuple[float, int]] = []  # (finish_ms, release seq)
@@ -334,17 +332,9 @@ def simulate_serving(
             elif backlog() >= config.max_pending:
                 shed["queue_full"] = shed.get("queue_full", 0) + 1
                 continue
-            # Cache/plan lookup serialises through its lock stripe
-            # (one stripe = today's single-lock TuningCache).
-            stripe = (
-                ShardedTuningCache.shard_index(
-                    repr(req.signature), len(lock_free)
-                )
-                if is_async
-                else 0
-            )
-            start = max(req.at_ms, lock_free[stripe])
-            lock_free[stripe] = start + config.lookup_ms
+            # Cache/plan lookup serialises through the TuningCache lock.
+            start = max(req.at_ms, lock_free)
+            lock_free = start + config.lookup_ms
             pending.append((start + config.lookup_ms, req))
             if ticket is not None:
                 # Released when the request's group finishes; the finish

@@ -1,19 +1,25 @@
-"""The batched solve service: plan reuse + merged solves + worker pool.
+"""The batched solve service: plan reuse + merged solves + worker fleet.
 
-:class:`BatchSolveService` is the production front end the ROADMAP asks
-for. Callers :meth:`~BatchSolveService.submit` independent solve
-requests; the service
+:class:`BatchSolveService` is the one serving front end. Callers
+:meth:`~BatchSolveService.submit` independent solve requests (from
+plain threads, or from asyncio through :meth:`~BatchSolveService
+.solve_many_async` and ``asyncio.wrap_future``); the service
 
-1. resolves switch points **once per (device, dtype)** through a shared,
+1. validates each request, then checks it against the optional
+   :class:`~repro.service.admission.AdmissionController` (tenant
+   quotas, priority classes),
+2. resolves switch points **once per (device, dtype)** through a shared,
    thread-safe :class:`~repro.core.TuningCache` (``get_or_tune``),
-2. reuses :class:`~repro.core.SolvePlan` objects per workload shape,
-3. groups program-compatible requests (see :mod:`.batcher`) — keyed by
+3. reuses :class:`~repro.core.SolvePlan` objects per workload shape,
+4. groups program-compatible requests (see :mod:`.batcher`) — keyed by
    the signature of the lowered instruction
    :class:`~repro.ir.Program`, the exact step sequence the shared
    engine will run — into single merged
    :class:`~repro.systems.TridiagonalBatch` solves, and
-4. executes the groups concurrently on a bounded thread pool, with
-   queue backpressure (``max_pending`` + block/reject policy).
+5. executes the groups concurrently on a resizable
+   :class:`~repro.service.fleet.ScalableWorkerFleet` (optionally driven
+   by the :class:`~repro.service.autoscaler.Autoscaler`), with queue
+   backpressure (``max_pending`` + block/reject policy).
 
 Merged solves amortise the per-launch overhead that dominates small
 workloads — the simulated analogue of the interleaved batch solvers of
@@ -24,9 +30,10 @@ request's answer bit-identical to a standalone
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -45,12 +52,17 @@ from ..util.errors import (
     ConfigurationError,
     DeadlineExceededError,
     InvalidSystemError,
+    PriorityShedError,
     ReproError,
     ServiceError,
     ServiceOverloadedError,
+    TenantQuotaExceededError,
 )
 from ..util.validation import check_system_batch
+from .admission import AdmissionController
+from .autoscaler import Autoscaler, AutoscalerPolicy
 from .batcher import GroupKey, ServiceRequest, SolveGroup, group_requests
+from .fleet import ScalableWorkerFleet
 from .queue import BoundedRequestQueue, CircuitBreaker
 from .stats import ServiceStats
 
@@ -91,7 +103,8 @@ class BatchSolveService:
         Shared :class:`TuningCache` (or a path for a persistent one).
         Created memory-only when omitted.
     max_workers:
-        Worker threads executing merged solves concurrently.
+        Initial width of the worker fleet executing merged solves
+        concurrently (the autoscaler moves it afterwards).
     max_pending / overflow / submit_timeout:
         Backpressure: the pending queue holds at most ``max_pending``
         requests; ``overflow="block"`` waits (up to ``submit_timeout``
@@ -122,6 +135,23 @@ class BatchSolveService:
         Optional :class:`~repro.service.queue.CircuitBreaker`. While it
         is open, :meth:`submit` sheds load with
         :class:`~repro.util.errors.ServiceOverloadedError`.
+    admission:
+        Optional :class:`~repro.service.admission.AdmissionController`
+        checked by :meth:`submit` for the request's ``tenant`` and
+        ``priority``; ``None`` admits everything (single-tenant mode).
+        A request's ticket is released when its future settles.
+    autoscale:
+        ``True`` (or an :class:`~repro.service.autoscaler
+        .AutoscalerPolicy`) builds an :class:`~repro.service.autoscaler
+        .Autoscaler` over the worker fleet, ticked at every flush. The
+        default policy lets the fleet move between 1 and
+        ``4 * max_workers`` workers.
+    executor:
+        An outside worker pool — anything with ``submit(fn, *args) ->
+        Future`` and ``shutdown(wait=...)`` — used instead of the
+        built-in :class:`~repro.service.fleet.ScalableWorkerFleet`.
+        The service shuts it down on :meth:`close`. Autoscaling needs
+        the built-in fleet.
     fuse:
         Whether merged solves run through the batched-fusion lowering
         (the interleaved-layout sweeps of :func:`repro.ir.fuse_batched`):
@@ -159,6 +189,8 @@ class BatchSolveService:
         dist=None,
         faults=None,
         breaker: Optional[CircuitBreaker] = None,
+        admission: Optional[AdmissionController] = None,
+        autoscale: Union[bool, AutoscalerPolicy] = False,
         metrics=None,
         tracer=None,
         executor=None,
@@ -166,15 +198,14 @@ class BatchSolveService:
     ):
         if max_workers < 1:
             raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
+        if autoscale and executor is not None:
+            raise ConfigurationError(
+                "autoscale resizes the built-in worker fleet; it cannot "
+                "drive an outside executor"
+            )
         self.default_device = make_device(device)
         self.fuse = fuse
-        # Accept a TuningCache, anything cache-shaped (the serving
-        # tier's sharded cache quacks the same), or a path/None.
-        self.cache = (
-            cache
-            if isinstance(cache, TuningCache) or hasattr(cache, "get_or_tune")
-            else TuningCache(cache)
-        )
+        self.cache = cache if isinstance(cache, TuningCache) else TuningCache(cache)
         self.verify = verify
         if faults is not None and not hasattr(faults, "before_step"):
             from ..faults import FaultInjector
@@ -182,6 +213,7 @@ class BatchSolveService:
             faults = FaultInjector(faults)
         self.faults = faults
         self.breaker = breaker
+        self.admission = admission
         self.max_group_systems = max_group_systems
         self.auto_flush = auto_flush
         self.submit_timeout = submit_timeout
@@ -190,17 +222,10 @@ class BatchSolveService:
         self._queue: BoundedRequestQueue[ServiceRequest] = BoundedRequestQueue(
             max_pending=max_pending, policy=overflow
         )
-        # ``executor`` lets the serving tier supply its own worker fleet
-        # (e.g. the resizable one the autoscaler drives); anything with
-        # ``submit(fn, *args) -> Future`` and ``shutdown(wait=...)``
-        # works. The service owns whichever pool it ends up with —
-        # ``close`` shuts it down either way.
-        self._pool = (
-            executor
-            if executor is not None
-            else ThreadPoolExecutor(
-                max_workers=max_workers, thread_name_prefix="repro-solve"
-            )
+        # The service owns whichever pool it ends up with — ``close``
+        # shuts it down either way.
+        self.fleet = (
+            executor if executor is not None else ScalableWorkerFleet(max_workers)
         )
         self._lock = threading.Lock()
         self._seq = 0
@@ -227,6 +252,10 @@ class BatchSolveService:
         self.tracer = tracer
         self.stats.attach_metrics(self.metrics)
         self.cache.attach_metrics(self.metrics)
+        if executor is None:
+            self.fleet.attach_metrics(self.metrics)
+        if admission is not None:
+            admission.attach_metrics(self.metrics)
         self._queue_depth = self.metrics.gauge(
             "repro_service_queue_depth", "Requests waiting to be flushed."
         )
@@ -242,6 +271,16 @@ class BatchSolveService:
         from ..numerics import Governor
 
         self.governor = Governor(metrics=self.metrics, tracer=self.tracer)
+        self.autoscaler: Optional[Autoscaler] = None
+        if autoscale:
+            policy = (
+                autoscale
+                if isinstance(autoscale, AutoscalerPolicy)
+                else AutoscalerPolicy(min_workers=1, max_workers=4 * max_workers)
+            )
+            self.autoscaler = Autoscaler(
+                self.fleet, self.metrics, policy, tracer=tracer
+            )
 
     @property
     def dist_solver(self) -> Optional[DistributedSolver]:
@@ -381,8 +420,19 @@ class BatchSolveService:
         timeout: Optional[float] = None,
         deadline_ms: Optional[float] = None,
         tolerance: Optional[float] = None,
+        tenant: str = "default",
+        priority: Optional[str] = None,
     ) -> "Future[ServiceResult]":
         """Queue one solve request; returns a future for its result.
+
+        The steps run in order: validation, admission, then the
+        breaker, plan and queue. Malformed systems — NaN/Inf
+        coefficients, zero diagonals — are rejected first, with a typed
+        :class:`~repro.util.errors.InvalidSystemError`, so they never
+        hold an admission slot. With an ``admission`` controller the
+        request is then admitted for ``tenant`` at ``priority`` or shed
+        with :class:`~repro.util.errors.TenantQuotaExceededError` /
+        :class:`~repro.util.errors.PriorityShedError`.
 
         Applies the backpressure policy; a rejected request raises
         :class:`ServiceOverloadedError` and is counted in the stats.
@@ -394,9 +444,8 @@ class BatchSolveService:
         request fails with a typed
         :class:`~repro.util.errors.NumericalBreakdownError`.
 
-        Malformed systems — NaN/Inf coefficients, zero diagonals — are
-        rejected here, before any queueing, with a typed
-        :class:`~repro.util.errors.InvalidSystemError`.
+        To await one request from asyncio, wrap the returned future
+        with :func:`asyncio.wrap_future`.
         """
         if self._closed:
             raise ServiceError("service is closed")
@@ -412,6 +461,32 @@ class BatchSolveService:
                     "numerics", "rejected", detail="invalid system at submit"
                 )
             raise
+        ticket = None
+        if self.admission is not None:
+            try:
+                ticket = self.admission.admit(tenant, priority)
+            except (TenantQuotaExceededError, PriorityShedError):
+                self.stats.record_shed()
+                raise
+        try:
+            future = self._enqueue(batch, device, timeout, deadline_ms, tolerance)
+        except BaseException:
+            if ticket is not None:
+                self.admission.release(ticket)
+            raise
+        if ticket is not None:
+            future.add_done_callback(lambda _f: self.admission.release(ticket))
+        return future
+
+    def _enqueue(
+        self,
+        batch: TridiagonalBatch,
+        device: Union[Device, str, None],
+        timeout: Optional[float],
+        deadline_ms: Optional[float],
+        tolerance: Optional[float],
+    ) -> "Future[ServiceResult]":
+        """Breaker, plan and queue steps of :meth:`submit`."""
         if self.breaker is not None and not self.breaker.allow():
             self.stats.record_shed()
             if self.faults is not None:
@@ -488,10 +563,14 @@ class BatchSolveService:
         return self._queue.pending >= self._queue.max_pending
 
     def flush(self) -> int:
-        """Group everything pending and dispatch the groups to the pool.
+        """Group everything pending and dispatch the groups to the fleet.
 
-        Returns the number of merged solves dispatched.
+        With an autoscaler, it is ticked first, while the queue-depth
+        gauge still shows the backlog. Returns the number of merged
+        solves dispatched.
         """
+        if self.autoscaler is not None:
+            self.autoscaler.tick()
         pending = self._queue.drain()
         self._queue_depth.set(self._queue.pending)
         if not pending:
@@ -500,7 +579,7 @@ class BatchSolveService:
             pending, max_group_systems=self.max_group_systems
         )
         for group in groups:
-            fut = self._pool.submit(self._run_group, group)
+            fut = self.fleet.submit(self._run_group, group)
             with self._lock:
                 self._group_futures.append(fut)
         return len(groups)
@@ -665,12 +744,13 @@ class BatchSolveService:
                 )
             )
 
-    def solve_many(
+    def _submit_all(
         self,
         batches: Sequence[TridiagonalBatch],
-        device: Union[Device, str, None] = None,
-    ) -> List[ServiceResult]:
-        """Submit ``batches``, flush, and wait; results in input order.
+        device: Union[Device, str, None],
+        **request,
+    ) -> List["Future[ServiceResult]"]:
+        """Submit ``batches`` in order, then flush.
 
         The queue is flushed whenever it fills, so more than
         ``max_pending`` batches never block the caller on itself.
@@ -679,9 +759,41 @@ class BatchSolveService:
         for batch in batches:
             if self.queue_full:
                 self.flush()
-            futures.append(self.submit(batch, device))
+            futures.append(self.submit(batch, device, **request))
         self.flush()
+        return futures
+
+    def solve_many(
+        self,
+        batches: Sequence[TridiagonalBatch],
+        device: Union[Device, str, None] = None,
+        *,
+        tenant: str = "default",
+        priority: Optional[str] = None,
+        tolerance: Optional[float] = None,
+    ) -> List[ServiceResult]:
+        """Submit ``batches``, flush, and wait; results in input order."""
+        futures = self._submit_all(
+            batches, device, tenant=tenant, priority=priority, tolerance=tolerance
+        )
         return [fut.result() for fut in futures]
+
+    async def solve_many_async(
+        self,
+        batches: Sequence[TridiagonalBatch],
+        device: Union[Device, str, None] = None,
+        *,
+        tenant: str = "default",
+        priority: Optional[str] = None,
+        tolerance: Optional[float] = None,
+    ) -> List[ServiceResult]:
+        """:meth:`solve_many` for asyncio callers: the same submissions,
+        awaited instead of blocked on. Nothing numeric runs on the event
+        loop; solves run on the fleet and the loop only awaits them."""
+        futures = self._submit_all(
+            batches, device, tenant=tenant, priority=priority, tolerance=tolerance
+        )
+        return list(await asyncio.gather(*map(asyncio.wrap_future, futures)))
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -699,10 +811,16 @@ class BatchSolveService:
             return
         self.flush()
         self._closed = True
-        self._pool.shutdown(wait=wait)
+        self.fleet.shutdown(wait=wait)
 
     def __enter__(self) -> "BatchSolveService":
         return self
 
     def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    async def __aenter__(self) -> "BatchSolveService":
+        return self
+
+    async def __aexit__(self, *exc_info) -> None:
         self.close()

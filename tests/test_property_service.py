@@ -8,6 +8,7 @@ that request alone. Grouping, merging, and worker concurrency must be
 invisible in the numbers.
 """
 
+import asyncio
 import threading
 
 import numpy as np
@@ -15,9 +16,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import MultiStageSolver, SwitchPoints
-from repro.service import BatchSolveService
+from repro.service import (
+    AdmissionController,
+    BatchSolveService,
+    CircuitBreaker,
+    TenantQuota,
+)
 from repro.systems import generators
-from repro.util.errors import ServiceOverloadedError
+from repro.util.errors import ReproError, ServiceOverloadedError
+
+from .test_service import _run_bounded
 
 COMMON = dict(max_examples=20, deadline=None)
 
@@ -163,6 +171,66 @@ def test_concurrent_overload_rejects_cleanly_without_deadlock():
         svc.flush()
         for batch, fut in accepted:
             res = fut.result(timeout=30)
+            np.testing.assert_array_equal(_direct(batch).x, res.x)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_solve_many_returns_or_raises_typed_never_hangs(data):
+    """Liveness: whatever the backpressure, flushing, fleet, breaker and
+    admission settings, ``solve_many`` and ``solve_many_async`` either
+    answer every batch bit-identically or raise a typed error — within
+    a bounded time, never blocking on a flush only their caller could
+    issue."""
+    max_pending = data.draw(st.integers(min_value=1, max_value=16), "max_pending")
+    overflow = data.draw(st.sampled_from(["block", "reject"]), "overflow")
+    auto_flush = data.draw(
+        st.one_of(st.none(), st.integers(min_value=1, max_value=8)), "auto_flush"
+    )
+    max_workers = data.draw(st.sampled_from([1, 2, 4]), "max_workers")
+    with_breaker = data.draw(st.booleans(), "breaker")
+    tenant_pending = data.draw(
+        st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+        "admission pending quota",
+    )
+    batches = data.draw(
+        st.lists(request_batches(), max_size=3 * max_pending), "batches"
+    )
+
+    def make_service():
+        admission = (
+            None
+            if tenant_pending is None
+            else AdmissionController(
+                capacity=16, default_quota=TenantQuota(max_pending=tenant_pending)
+            )
+        )
+        return BatchSolveService(
+            DEVICE,
+            SWITCH,
+            max_workers=max_workers,
+            max_pending=max_pending,
+            overflow=overflow,
+            auto_flush=auto_flush,
+            breaker=CircuitBreaker() if with_breaker else None,
+            admission=admission,
+        )
+
+    def solve_sync():
+        with make_service() as svc:
+            return svc.solve_many(batches)
+
+    async def solve_async():
+        async with make_service() as svc:
+            return await svc.solve_many_async(batches)
+
+    for call in (solve_sync, lambda: asyncio.run(solve_async())):
+        try:
+            results = _run_bounded(call)
+        except ReproError:
+            continue
+        assert len(results) == len(batches)
+        for batch, res in zip(batches, results):
             np.testing.assert_array_equal(_direct(batch).x, res.x)
 
 

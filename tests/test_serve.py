@@ -1,28 +1,24 @@
-"""Unit tests for the async serving tier's building blocks.
+"""Unit tests for the service's serving building blocks.
 
-Covers the sharded tuning cache (stable mapping, counters, replay),
-per-tenant admission (quota order, typed errors, starvation
+Covers per-tenant admission (quota order, typed errors, starvation
 prevention via pending caps), the resizable worker fleet, the
-metrics-driven autoscaler, and the serving-tier additions to the
-service primitives (breaker probes, queue-wait histogram, histogram
+metrics-driven autoscaler, and the serving additions to the service
+primitives (breaker probes, queue-wait histogram, histogram
 quantiles).
 """
 
 import threading
 import time
 
-import numpy as np
 import pytest
 
-from repro.core.config import SwitchPoints
 from repro.obs import MetricsRegistry
-from repro.serve import (
+from repro.service import (
     PRIORITIES,
     AdmissionController,
     Autoscaler,
     AutoscalerPolicy,
     ScalableWorkerFleet,
-    ShardedTuningCache,
     TenantQuota,
 )
 from repro.service.queue import BoundedRequestQueue, CircuitBreaker
@@ -34,97 +30,6 @@ from repro.util.errors import (
 )
 
 pytestmark = pytest.mark.serve
-
-SWITCH = SwitchPoints(
-    stage1_target_systems=16, stage3_system_size=256, thomas_switch=64
-)
-
-
-# ---------------------------------------------------------------------------
-# ShardedTuningCache
-# ---------------------------------------------------------------------------
-
-
-class TestShardedCache:
-    def test_mapping_is_stable_and_total(self):
-        cache = ShardedTuningCache(4)
-        for dsize in (4, 8):
-            idx = ShardedTuningCache.shard_index(
-                f"gtx470|{dsize}|generic", 4
-            )
-            assert 0 <= idx < 4
-            # Same key always lands on the same shard.
-            assert idx == ShardedTuningCache.shard_index(
-                f"gtx470|{dsize}|generic", 4
-            )
-        assert len(cache) == 0
-
-    def test_get_put_roundtrip_and_counters(self):
-        cache = ShardedTuningCache(4)
-        assert cache.get("gtx470", 8) is None
-        cache.put("gtx470", 8, SWITCH)
-        assert cache.get("gtx470", 8) == SWITCH
-        counters = cache.counters()
-        assert counters["hits"] == 1
-        assert counters["misses"] == 1
-        assert counters["entries"] == 1
-        # Per-shard counters sum to the aggregate.
-        per_shard = cache.shard_counters()
-        assert sum(c["hits"] for c in per_shard) == 1
-        assert sum(c["misses"] for c in per_shard) == 1
-
-    def test_get_or_tune_tunes_once(self):
-        cache = ShardedTuningCache(2)
-        calls = []
-
-        def tune():
-            calls.append(1)
-            return SWITCH
-
-        assert cache.get_or_tune("gtx470", 4, tune) == SWITCH
-        assert cache.get_or_tune("gtx470", 4, tune) == SWITCH
-        assert len(calls) == 1
-
-    def test_distinct_keys_spread_over_shards(self):
-        shards = {
-            ShardedTuningCache.shard_index(f"device{i}|8|generic", 8)
-            for i in range(64)
-        }
-        assert len(shards) > 1
-
-    def test_attach_metrics_replays_per_shard(self):
-        cache = ShardedTuningCache(2)
-        cache.put("gtx470", 8, SWITCH)
-        cache.get("gtx470", 8)
-        registry = MetricsRegistry()
-        cache.attach_metrics(registry)
-        metric = registry.get("repro_tuning_cache_lookups_total")
-        assert metric is not None
-        rendered = registry.render()
-        assert 'shard="' in rendered
-
-    def test_contention_counter_counts_concurrent_probes(self):
-        cache = ShardedTuningCache(1)
-        shard = cache.shard_for("gtx470", 8)
-        # Hold the single shard's lock while another thread probes it.
-        with shard._lock:
-            t = threading.Thread(
-                target=lambda: cache.shard_for("gtx470", 8)
-            )
-            t.start()
-            t.join()
-        assert cache.counters()["contended"] >= 1
-
-    def test_rejects_bad_shard_count(self):
-        with pytest.raises(ConfigurationError):
-            ShardedTuningCache(0)
-
-    def test_persistence_roundtrip(self, tmp_path):
-        base = tmp_path / "tuned.json"
-        cache = ShardedTuningCache(2, base)
-        cache.put("gtx470", 8, SWITCH)
-        reloaded = ShardedTuningCache(2, base)
-        assert reloaded.get("gtx470", 8) == SWITCH
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""Parity and fairness properties of the async serving tier.
+"""Parity and fairness properties of the service's serving parts.
 
-The tier's two headline promises, pinned property-style:
+Two headline promises, pinned property-style:
 
-1. **Facade parity** — the asyncio frontend and the sync facade are the
-   same code path, so a seeded request stream produces *identical group
-   assignments* and *bit-identical solutions* whichever door it enters
-   through (and both match a standalone solver).
+1. **Sync/async parity** — ``solve_many`` and ``solve_many_async`` share
+   one submit loop, so a seeded request stream produces *identical
+   group assignments* and *bit-identical solutions* whichever entry
+   point it goes through (and both match a standalone solver).
 2. **No starvation** — a saturating high-priority tenant is capped by
    its own pending quota, so a low-priority tenant keeps making
    progress instead of being shed forever.
@@ -18,13 +18,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import MultiStageSolver, SwitchPoints
-from repro.serve import (
-    AdmissionController,
-    AsyncSolveService,
-    TenantQuota,
-)
+from repro.service import AdmissionController, BatchSolveService, TenantQuota
 from repro.systems import generators
-from repro.util.errors import ServiceOverloadedError
+from repro.util.errors import (
+    ConfigurationError,
+    InvalidSystemError,
+    ServiceOverloadedError,
+)
 
 pytestmark = pytest.mark.serve
 
@@ -50,19 +50,19 @@ def request_batches(draw):
 
 
 def _service(**kwargs):
-    return AsyncSolveService(DEVICE, SWITCH, workers=2, num_shards=4, **kwargs)
+    return BatchSolveService(DEVICE, SWITCH, max_workers=2, **kwargs)
 
 
 @settings(**COMMON)
 @given(batches=st.lists(request_batches(), min_size=1, max_size=8))
 def test_sync_facade_and_async_frontend_are_bit_identical(batches):
-    """Same stream, both doors: identical groups, identical bits."""
+    """Same stream, sync and async: identical groups, identical bits."""
     with _service() as sync_svc:
-        sync_results = sync_svc.solve_many_sync(batches)
+        sync_results = sync_svc.solve_many(batches)
 
     async def drive():
         async with _service() as async_svc:
-            return await async_svc.solve_many(batches)
+            return await async_svc.solve_many_async(batches)
 
     async_results = asyncio.run(drive())
 
@@ -80,10 +80,11 @@ def test_sync_facade_and_async_frontend_are_bit_identical(batches):
 @settings(**COMMON)
 @given(batches=st.lists(request_batches(), min_size=1, max_size=6))
 def test_serving_tier_matches_standalone_solver(batches):
-    """The serving tier adds admission/sharding/autoscaling around the
-    service — never around the numbers."""
-    with _service(autoscale=True) as svc:
-        results = svc.solve_many_sync(batches)
+    """Admission and autoscaling wrap the request path — never the
+    numbers."""
+    admission = AdmissionController(capacity=64)
+    with _service(admission=admission, autoscale=True) as svc:
+        results = svc.solve_many(batches)
     for batch, res in zip(batches, results):
         direct = MultiStageSolver(DEVICE, SWITCH).solve(batch)
         assert res.x.dtype == direct.x.dtype
@@ -116,7 +117,7 @@ def test_low_priority_tenant_progresses_under_saturation():
                     1, 64, rng=1000 * round_no + i
                 )
                 try:
-                    futures.append(svc.submit_sync(batch, tenant="hog"))
+                    futures.append(svc.submit(batch, tenant="hog"))
                 except ServiceOverloadedError:
                     hog_shed += 1
             # The meek tenant asks for a little, at the *lowest* class.
@@ -125,7 +126,7 @@ def test_low_priority_tenant_progresses_under_saturation():
                 batch = generators.random_dominant(
                     1, 64, rng=5000 + 100 * round_no + i
                 )
-                meek_futures.append(svc.submit_sync(batch, tenant="meek"))
+                meek_futures.append(svc.submit(batch, tenant="meek"))
             svc.flush()
             svc.drain()
             for fut in meek_futures:
@@ -145,14 +146,62 @@ def test_admission_sheds_before_anything_is_queued():
     )
     with _service(admission=admission) as svc:
         batch = generators.random_dominant(1, 32, rng=0)
-        svc.submit_sync(batch, tenant="a")
+        svc.submit(batch, tenant="a")
         before = svc.stats.snapshot()["requests_submitted"]
         with pytest.raises(ServiceOverloadedError):
-            svc.submit_sync(batch, tenant="a")
+            svc.submit(batch, tenant="a")
         assert svc.stats.snapshot()["requests_submitted"] == before
         assert svc.stats.snapshot()["requests_shed"] == 1
         svc.flush()
         svc.drain()
         # The settled future released the ticket: admission is open again.
-        svc.submit_sync(batch, tenant="a")
+        svc.submit(batch, tenant="a")
         svc.flush()
+
+
+def test_invalid_request_is_rejected_before_admission():
+    """Validation runs first, so a malformed batch spends no rate token."""
+    admission = AdmissionController(
+        capacity=8,
+        default_quota=TenantQuota(rate_per_s=1.0, burst=1),
+        clock=lambda: 0.0,  # frozen: the one token never refills
+    )
+    with _service(admission=admission) as svc:
+        with pytest.raises(InvalidSystemError):
+            svc.submit(generators.nan_poisoned(1, 32, rng=0), tenant="a")
+        future = svc.submit(generators.random_dominant(1, 32, rng=0), tenant="a")
+        svc.flush()
+        assert future.result().x.shape == (1, 32)
+        assert svc.stats.snapshot()["requests_shed"] == 0
+
+
+def test_configuration_error_is_not_counted_as_shed():
+    admission = AdmissionController(capacity=8)
+    with _service(admission=admission) as svc:
+        batch = generators.random_dominant(1, 32, rng=0)
+        with pytest.raises(ConfigurationError):
+            svc.submit(batch, priority="urgent")
+        assert svc.stats.snapshot()["requests_shed"] == 0
+        requests = svc.metrics.get("repro_service_requests_total")
+        assert requests.value(status="shed") == 0
+
+
+def test_autoscaler_ticks_on_every_auto_flush():
+    batches = [generators.random_dominant(1, 64, rng=i) for i in range(200)]
+    with BatchSolveService(
+        DEVICE, SWITCH, max_workers=1, autoscale=True, auto_flush=8
+    ) as svc:
+        for batch in batches:
+            svc.submit(batch)
+        svc.drain()
+        decisions = list(svc.autoscaler.decisions)
+    # 200 requests / auto_flush 8 = 25 flushes, each ticking first.
+    assert len(decisions) >= len(batches) // 8
+    assert max(d.workers_after for d in decisions) > 1
+
+
+def test_autoscale_needs_the_built_in_fleet():
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as pool, pytest.raises(ConfigurationError):
+        BatchSolveService(DEVICE, SWITCH, autoscale=True, executor=pool)

@@ -10,7 +10,7 @@ served or shed, never lost.
 
 import pytest
 
-from repro.serve import ServingSimConfig, compare_tiers, simulate_serving
+from repro.service import ServingSimConfig, compare_tiers, simulate_serving
 
 pytestmark = pytest.mark.serve
 

@@ -14,7 +14,6 @@ import pytest
 
 from repro.core import MultiStageSolver, SwitchPoints, plan_solve
 from repro.gpu import make_device
-from repro.serve import AsyncSolveService
 from repro.service import (
     BatchSolveService,
     BoundedRequestQueue,
@@ -293,23 +292,20 @@ def _run_bounded(call, bound_s: float = 30.0):
     return box["value"]
 
 
-@pytest.mark.parametrize("entry", ["service", "facade_sync", "facade_async"])
+@pytest.mark.parametrize("entry", ["service", "facade_async"])
 def test_solve_many_past_max_pending_does_not_hang(entry):
     # More requests than max_pending, with the default overflow="block"
-    # and no auto_flush: solve_many must flush as the queue fills rather
-    # than block on a flush only its own caller could issue.
+    # and no auto_flush: solve_many (and its asyncio twin) must flush as
+    # the queue fills rather than block on a flush only its own caller
+    # could issue.
     batches = [generators.random_dominant(1, 64, rng=i) for i in range(200)]
+    svc = BatchSolveService(DEVICE, SWITCH, max_workers=2, max_pending=128)
     if entry == "service":
-        svc = BatchSolveService(DEVICE, SWITCH, max_workers=2, max_pending=128)
         results = _run_bounded(lambda: svc.solve_many(batches))
     else:
-        svc = AsyncSolveService(DEVICE, SWITCH, workers=2, max_pending=128)
-        if entry == "facade_sync":
-            results = _run_bounded(lambda: svc.solve_many_sync(batches))
-        else:
-            results = _run_bounded(
-                lambda: asyncio.run(svc.solve_many(batches))
-            )
+        results = _run_bounded(
+            lambda: asyncio.run(svc.solve_many_async(batches))
+        )
     svc.close()
     direct = MultiStageSolver(DEVICE, SWITCH)
     assert len(results) == len(batches)
