@@ -6,15 +6,6 @@ multi-stage solves (amortising per-launch overhead and filling the
 machine), while the baseline re-plans and launches once per request.
 The acceptance bar is >= 5x simulated throughput with bit-identical
 answers; typical runs land well above it.
-
-The second bench is the serving-tier shoot-out: the same seeded
-Poisson stream through the fixed thread-pool tier and the async tier
-(per-tenant admission, autoscaled fleet) via the deterministic serving
-simulation. The acceptance bar: the async tier holds p99 where the
-thread-pool tier saturates into a reject storm. Results land in
-``benchmarks/results/serve_scaling.json``; this bench is its only
-writer (the nightly 100k-request CLI run writes its own uncommitted
-file).
 """
 
 import numpy as np
@@ -24,14 +15,11 @@ from _results import write_results
 
 from repro.analysis import ascii_table
 from repro.core import MultiStageSolver
-from repro.service import BatchSolveService, ServingSimConfig, compare_tiers
+from repro.service import BatchSolveService
 from repro.systems import generators
 
 NUM_REQUESTS = 1000
 SEED = 2011  # the paper's year; any fixed seed works
-
-SERVE_REQUESTS = 20_000
-SERVE_RATE = 12_000.0
 
 # The fusion bench: split-heavy mixed traffic, where the interleaved
 # sweeps must beat even the merged-unfused path (on-chip-only shapes are
@@ -93,65 +81,6 @@ def test_service_throughput_vs_oneshot(benchmark, emit):
     assert snap["requests_failed"] == 0
     # The acceptance criterion: >= 5x simulated throughput.
     assert speedup >= 5.0, f"batched speedup only {speedup:.2f}x"
-
-
-def test_serve_tier_holds_p99_where_threadpool_saturates(
-    benchmark, emit, results_dir
-):
-    config = ServingSimConfig(
-        requests=SERVE_REQUESTS, rate_per_s=SERVE_RATE, seed=SEED
-    )
-
-    def shoot_out():
-        return compare_tiers(config)
-
-    tiers = benchmark.pedantic(shoot_out, rounds=1, iterations=1)
-    tp, ac = tiers["threadpool"], tiers["async"]
-
-    rows = [
-        ["p50 latency (sim ms)", round(tp.latency_p50_ms, 1),
-         round(ac.latency_p50_ms, 1)],
-        ["p99 latency (sim ms)", round(tp.latency_p99_ms, 1),
-         round(ac.latency_p99_ms, 1)],
-        ["served", tp.served, ac.served],
-        ["shed rate", f"{tp.shed_rate:.1%}", f"{ac.shed_rate:.1%}"],
-        ["peak workers", tp.max_workers, ac.max_workers],
-        ["merged solves", tp.groups, ac.groups],
-    ]
-    text = (
-        ascii_table(
-            ["metric", "thread-pool tier", "async tier"],
-            rows,
-            title=f"Serving-tier scaling ({SERVE_REQUESTS} simulated "
-            f"requests at {SERVE_RATE:g}/s, seed {SEED})",
-        )
-        + f"\np99 ratio (threadpool/async): "
-        f"{tp.latency_p99_ms / ac.latency_p99_ms:.1f}x"
-    )
-    emit("serve_scaling", text)
-
-    payload = {
-        "config": {
-            "requests": config.requests,
-            "rate_per_s": config.rate_per_s,
-            "seed": config.seed,
-            "tenants": config.tenants,
-            "workers": config.workers,
-            "max_workers": config.max_workers,
-            "dispatch_ms": config.dispatch_ms,
-            "lookup_ms": config.lookup_ms,
-        },
-        "tiers": {tier: report.as_dict() for tier, report in tiers.items()},
-    }
-    write_results("serve_scaling", payload, results_dir)
-
-    # The acceptance criterion: the thread-pool tier saturates (reject
-    # storm at its queue bound) while the autoscaled async tier holds
-    # p99 and serves everything.
-    assert tp.shed["queue_full"] > 0
-    assert ac.served == config.requests
-    assert ac.latency_p99_ms * 10 < tp.latency_p99_ms
-    assert ac.max_workers > config.workers
 
 
 @pytest.mark.fusion

@@ -203,38 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="max_group_systems",
         help="cap on merged-batch height (default unlimited)",
     )
-    p_serve.add_argument(
-        "--async",
-        action="store_true",
-        dest="async_tier",
-        help="benchmark the service with admission and autoscaling "
-        "against the plain thread-pool service under simulated load",
-    )
-    p_serve.add_argument(
-        "--tenants",
-        type=int,
-        default=4,
-        help="tenant count for the simulated request mix (default 4; "
-        "tenant0 sends half the traffic)",
-    )
-    p_serve.add_argument(
-        "--autoscale",
-        action="store_true",
-        help="let the async tier's autoscaler resize the fleet "
-        "(otherwise it keeps --max-workers workers)",
-    )
-    p_serve.add_argument(
-        "--rate",
-        type=float,
-        default=12_000.0,
-        help="simulated arrival rate in requests/s (default 12000)",
-    )
-    p_serve.add_argument(
-        "--json",
-        default=None,
-        dest="json_out",
-        help="also write the async-tier comparison as JSON to this path",
-    )
 
     p_dist = sub.add_parser(
         "dist-bench",
@@ -621,9 +589,6 @@ def _cmd_serve_bench(args, out) -> int:
     from .service import BatchSolveService
     from .systems import generators
 
-    if args.async_tier:
-        return _cmd_serve_bench_async(args, out)
-
     requests = generators.mixed_requests(args.requests, rng=args.seed)
     service = BatchSolveService(
         args.device,
@@ -683,83 +648,6 @@ def _cmd_serve_bench(args, out) -> int:
         # lines tell the story.
         if not line.startswith("#") and "_bucket" not in line:
             out.write(f"  {line}\n")
-    return 0
-
-
-def _cmd_serve_bench_async(args, out) -> int:
-    """The serving-tier shoot-out: thread-pool vs async under load.
-
-    Both tiers replay the same seeded Poisson stream through the
-    deterministic serving simulation (real admission/autoscaler policy
-    objects on a simulated clock), so 100k requests take seconds and
-    the p50/p99/shed numbers are reproducible bit-for-bit.
-    """
-    import json
-
-    from .service import ServingSimConfig, compare_tiers
-
-    config = ServingSimConfig(
-        requests=args.requests,
-        rate_per_s=args.rate,
-        seed=args.seed,
-        tenants=args.tenants,
-        device=args.device,
-        workers=args.max_workers,
-        autoscale=args.autoscale,
-    )
-    reports = compare_tiers(config)
-    out.write(
-        f"workload  : {config.requests} simulated mixed requests at "
-        f"{config.rate_per_s:g}/s, {config.tenants} tenants, "
-        f"seed {config.seed}\n"
-    )
-    for tier in ("threadpool", "async"):
-        report = reports[tier]
-        label = (
-            f"async x{report.max_workers}"
-            if tier == "async" and args.autoscale
-            else f"{tier} x{report.max_workers}"
-        )
-        out.write(
-            f"{tier:10s}: p50 {report.latency_p50_ms:.1f} ms, "
-            f"p99 {report.latency_p99_ms:.1f} ms, "
-            f"shed {report.shed_rate:.1%} "
-            f"({label}, {report.groups} merged solves)\n"
-        )
-        for reason, count in sorted(report.shed.items()):
-            out.write(f"            shed[{reason}] = {count}\n")
-        if report.autoscaler_actions:
-            actions = ", ".join(
-                f"{action}={count}"
-                for action, count in sorted(report.autoscaler_actions.items())
-            )
-            out.write(f"            autoscaler: {actions}\n")
-    tp, ac = reports["threadpool"], reports["async"]
-    if ac.latency_p99_ms > 0:
-        out.write(
-            f"p99 ratio : {tp.latency_p99_ms / ac.latency_p99_ms:.1f}x "
-            "(threadpool / async)\n"
-        )
-    if args.json_out:
-        payload = {
-            "config": {
-                "requests": config.requests,
-                "rate_per_s": config.rate_per_s,
-                "seed": config.seed,
-                "tenants": config.tenants,
-                "device": config.device,
-                "workers": config.workers,
-                "max_workers": config.max_workers,
-                "autoscale": config.autoscale,
-                "dispatch_ms": config.dispatch_ms,
-                "lookup_ms": config.lookup_ms,
-            },
-            "tiers": {t: r.as_dict() for t, r in reports.items()},
-        }
-        with open(args.json_out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        out.write(f"wrote {args.json_out}\n")
     return 0
 
 

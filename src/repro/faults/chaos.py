@@ -24,9 +24,8 @@ Two phases:
 - **serve phase** — the same request mix through a
   :class:`~repro.service.BatchSolveService` with its serving parts on:
   a deliberately tight :class:`~repro.service.AdmissionController` (so
-  tenant quotas and priority watermarks actually shed), the autoscaler
-  resizing the fleet mid-chaos — all under the same transient faults
-  and stalls. Admission sheds must be *typed*
+  tenant quotas and priority watermarks actually shed), under the same
+  transient faults and stalls. Admission sheds must be *typed*
   (:class:`~repro.util.errors.TenantQuotaExceededError` /
   :class:`~repro.util.errors.PriorityShedError`); the guarantee reads
   identically: verified solution or typed error, never silently wrong.
@@ -189,8 +188,7 @@ class ChaosReport:
                 f"  serve   : {sv['requests']} requests -> "
                 f"{sv['solved']} solved, {sv['typed_errors']} typed, "
                 f"{sv['deadline_expired']} expired, {sv['shed']} shed "
-                f"({sheds or 'none'}), fleet peaked at "
-                f"{sv['max_workers']} workers"
+                f"({sheds or 'none'})"
             )
         if self.numerics:
             nm = self.numerics
@@ -299,13 +297,12 @@ def _run_service_phase(
 def _run_serve_phase(
     seed: int, count: int, transient_p: float, log: FaultLog
 ) -> dict:
-    """The campaign's request mix through admission and autoscaling.
+    """The campaign's request mix through admission.
 
     Quotas are deliberately tight — a "noisy" batch-class tenant with a
     small pending cap and rate limit sends a third of the traffic — so
     admission genuinely sheds, and the audit can insist every shed was
-    typed. The autoscaler runs too: fleet resizing mid-chaos must not
-    cost a single verified answer.
+    typed.
     """
     from ..service import AdmissionController, TenantQuota
     from ..util.errors import (
@@ -345,7 +342,6 @@ def _run_serve_phase(
         verify=True,
         max_workers=2,
         admission=admission,
-        autoscale=True,
         faults=injector,
     )
     requests = _service_requests(seed + 2, count)
@@ -353,7 +349,6 @@ def _run_serve_phase(
     shed = 0
     typed_at_submit = 0
     shed_reasons: Dict[str, int] = {}
-    max_workers = service.fleet.size
     with service:
         for i, batch in enumerate(requests):
             tenant = "noisy" if i % 3 == 0 else f"tenant{i % 2}"
@@ -395,10 +390,8 @@ def _run_serve_phase(
                 # window's admission decisions.
                 service.flush()
                 service.drain()
-                max_workers = max(max_workers, service.fleet.size)
         service.flush()
         service.drain()
-        max_workers = max(max_workers, service.fleet.size)
 
     solved = expired_n = untyped = silent = 0
     typed = typed_at_submit
@@ -430,7 +423,6 @@ def _run_serve_phase(
         "untyped_errors": untyped,
         "silent_wrong": silent,
         "worst_residual_ratio": worst_ratio,
-        "max_workers": max_workers,
         "cache": service.cache.counters(),
     }
 

@@ -187,7 +187,7 @@ class Histogram(_Instrument):
         (a floor on the true quantile), matching the usual treatment of
         the implicit ``+Inf`` bucket. Returns 0.0 for an empty series.
         The estimate is deterministic — a pure function of the recorded
-        counts — so autoscaler decisions driven by it replay exactly.
+        counts — so anything derived from it replays exactly.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")

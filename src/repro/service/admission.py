@@ -5,7 +5,7 @@ request names a **tenant** (billing/isolation unit) and a **priority
 class**; before a request touches the queue the controller checks
 
 1. the tenant's **pending quota** — an in-flight cap so one tenant
-   cannot monopolise the fleet,
+   cannot monopolise the worker pool,
 2. the tenant's **rate quota** — a token bucket over admissions per
    second of (injectable) clock time, and
 3. the priority class's **occupancy watermark** — class ``p`` may only

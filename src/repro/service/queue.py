@@ -111,11 +111,10 @@ class BoundedRequestQueue(Generic[T]):
             return len(self._items)
 
     def qsize(self) -> int:
-        """Current depth — the autoscaler's (and any poller's) input.
+        """Current depth, for any poller.
 
         Same value as :attr:`pending`; the method form matches the
-        stdlib queue API so fleet controllers don't reach into
-        ``_items``.
+        stdlib queue API so pollers don't reach into ``_items``.
         """
         return self.pending
 

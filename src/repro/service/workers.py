@@ -1,4 +1,4 @@
-"""The batched solve service: plan reuse + merged solves + worker fleet.
+"""The batched solve service: plan reuse + merged solves + worker pool.
 
 :class:`BatchSolveService` is the one serving front end. Callers
 :meth:`~BatchSolveService.submit` independent solve requests (from
@@ -16,10 +16,10 @@ plain threads, or from asyncio through :meth:`~BatchSolveService
    :class:`~repro.ir.Program`, the exact step sequence the shared
    engine will run — into single merged
    :class:`~repro.systems.TridiagonalBatch` solves, and
-5. executes the groups concurrently on a resizable
-   :class:`~repro.service.fleet.ScalableWorkerFleet` (optionally driven
-   by the :class:`~repro.service.autoscaler.Autoscaler`), with queue
-   backpressure (``max_pending`` + block/reject policy).
+5. executes the groups concurrently on a fixed-width
+   :class:`concurrent.futures.ThreadPoolExecutor` (or a caller-supplied
+   pool), with queue backpressure (``max_pending`` + block/reject
+   policy).
 
 Merged solves amortise the per-launch overhead that dominates small
 workloads — the simulated analogue of the interleaved batch solvers of
@@ -33,7 +33,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -60,9 +60,7 @@ from ..util.errors import (
 )
 from ..util.validation import check_system_batch
 from .admission import AdmissionController
-from .autoscaler import Autoscaler, AutoscalerPolicy
 from .batcher import GroupKey, ServiceRequest, SolveGroup, group_requests
-from .fleet import ScalableWorkerFleet
 from .queue import BoundedRequestQueue, CircuitBreaker
 from .stats import ServiceStats
 
@@ -103,8 +101,7 @@ class BatchSolveService:
         Shared :class:`TuningCache` (or a path for a persistent one).
         Created memory-only when omitted.
     max_workers:
-        Initial width of the worker fleet executing merged solves
-        concurrently (the autoscaler moves it afterwards).
+        Width of the worker pool executing merged solves concurrently.
     max_pending / overflow / submit_timeout:
         Backpressure: the pending queue holds at most ``max_pending``
         requests; ``overflow="block"`` waits (up to ``submit_timeout``
@@ -140,18 +137,11 @@ class BatchSolveService:
         checked by :meth:`submit` for the request's ``tenant`` and
         ``priority``; ``None`` admits everything (single-tenant mode).
         A request's ticket is released when its future settles.
-    autoscale:
-        ``True`` (or an :class:`~repro.service.autoscaler
-        .AutoscalerPolicy`) builds an :class:`~repro.service.autoscaler
-        .Autoscaler` over the worker fleet, ticked at every flush. The
-        default policy lets the fleet move between 1 and
-        ``4 * max_workers`` workers.
     executor:
         An outside worker pool — anything with ``submit(fn, *args) ->
         Future`` and ``shutdown(wait=...)`` — used instead of the
-        built-in :class:`~repro.service.fleet.ScalableWorkerFleet`.
-        The service shuts it down on :meth:`close`. Autoscaling needs
-        the built-in fleet.
+        built-in ``ThreadPoolExecutor(max_workers)``. The service shuts
+        it down on :meth:`close`.
     fuse:
         Whether merged solves run through the batched-fusion lowering
         (the interleaved-layout sweeps of :func:`repro.ir.fuse_batched`):
@@ -190,7 +180,6 @@ class BatchSolveService:
         faults=None,
         breaker: Optional[CircuitBreaker] = None,
         admission: Optional[AdmissionController] = None,
-        autoscale: Union[bool, AutoscalerPolicy] = False,
         metrics=None,
         tracer=None,
         executor=None,
@@ -198,11 +187,6 @@ class BatchSolveService:
     ):
         if max_workers < 1:
             raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
-        if autoscale and executor is not None:
-            raise ConfigurationError(
-                "autoscale resizes the built-in worker fleet; it cannot "
-                "drive an outside executor"
-            )
         self.default_device = make_device(device)
         self.fuse = fuse
         self.cache = cache if isinstance(cache, TuningCache) else TuningCache(cache)
@@ -224,8 +208,10 @@ class BatchSolveService:
         )
         # The service owns whichever pool it ends up with — ``close``
         # shuts it down either way.
-        self.fleet = (
-            executor if executor is not None else ScalableWorkerFleet(max_workers)
+        self._pool = (
+            executor
+            if executor is not None
+            else ThreadPoolExecutor(max_workers, thread_name_prefix="repro-serve")
         )
         self._lock = threading.Lock()
         self._seq = 0
@@ -252,8 +238,6 @@ class BatchSolveService:
         self.tracer = tracer
         self.stats.attach_metrics(self.metrics)
         self.cache.attach_metrics(self.metrics)
-        if executor is None:
-            self.fleet.attach_metrics(self.metrics)
         if admission is not None:
             admission.attach_metrics(self.metrics)
         self._queue_depth = self.metrics.gauge(
@@ -271,16 +255,6 @@ class BatchSolveService:
         from ..numerics import Governor
 
         self.governor = Governor(metrics=self.metrics, tracer=self.tracer)
-        self.autoscaler: Optional[Autoscaler] = None
-        if autoscale:
-            policy = (
-                autoscale
-                if isinstance(autoscale, AutoscalerPolicy)
-                else AutoscalerPolicy(min_workers=1, max_workers=4 * max_workers)
-            )
-            self.autoscaler = Autoscaler(
-                self.fleet, self.metrics, policy, tracer=tracer
-            )
 
     @property
     def dist_solver(self) -> Optional[DistributedSolver]:
@@ -563,14 +537,14 @@ class BatchSolveService:
         return self._queue.pending >= self._queue.max_pending
 
     def flush(self) -> int:
-        """Group everything pending and dispatch the groups to the fleet.
+        """Group everything pending and dispatch the groups to the pool.
 
-        With an autoscaler, it is ticked first, while the queue-depth
-        gauge still shows the backlog. Returns the number of merged
-        solves dispatched.
+        Returns the number of merged solves dispatched. If the pool
+        refuses a group (it was shut down), that group and every group
+        not yet dispatched fail with a typed :class:`ServiceError` —
+        their requests are already off the queue, so nothing else would
+        ever settle them — and ``flush`` raises :class:`ServiceError`.
         """
-        if self.autoscaler is not None:
-            self.autoscaler.tick()
         pending = self._queue.drain()
         self._queue_depth.set(self._queue.pending)
         if not pending:
@@ -578,8 +552,18 @@ class BatchSolveService:
         groups = group_requests(
             pending, max_group_systems=self.max_group_systems
         )
-        for group in groups:
-            fut = self.fleet.submit(self._run_group, group)
+        for i, group in enumerate(groups):
+            try:
+                fut = self._pool.submit(self._run_group, group)
+            except Exception as exc:
+                stranded = [req for g in groups[i:] for req in g.requests]
+                reason = f"worker pool refused a merged solve: {exc}"
+                for req in stranded:
+                    req.future.set_exception(ServiceError(reason))
+                self.stats.record_failed(len(stranded))
+                raise ServiceError(
+                    f"{reason}; {len(stranded)} requests failed"
+                ) from exc
             with self._lock:
                 self._group_futures.append(fut)
         return len(groups)
@@ -789,7 +773,7 @@ class BatchSolveService:
     ) -> List[ServiceResult]:
         """:meth:`solve_many` for asyncio callers: the same submissions,
         awaited instead of blocked on. Nothing numeric runs on the event
-        loop; solves run on the fleet and the loop only awaits them."""
+        loop; solves run on the pool and the loop only awaits them."""
         futures = self._submit_all(
             batches, device, tenant=tenant, priority=priority, tolerance=tolerance
         )
@@ -811,7 +795,7 @@ class BatchSolveService:
             return
         self.flush()
         self._closed = True
-        self.fleet.shutdown(wait=wait)
+        self._pool.shutdown(wait=wait)
 
     def __enter__(self) -> "BatchSolveService":
         return self

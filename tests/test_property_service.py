@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import MultiStageSolver, SwitchPoints
+from repro.faults import FaultPlan, TransientKernelFault, WorkerStall
 from repro.service import (
     AdmissionController,
     BatchSolveService,
@@ -177,13 +178,16 @@ def test_concurrent_overload_rejects_cleanly_without_deadlock():
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_solve_many_returns_or_raises_typed_never_hangs(data):
-    """Liveness: whatever the backpressure, flushing, fleet, breaker and
-    admission settings, ``solve_many`` and ``solve_many_async`` either
-    answer every batch bit-identically or raise a typed error — within
-    a bounded time, never blocking on a flush only their caller could
-    issue."""
+    """Liveness: whatever the backpressure, flushing, pool width, breaker,
+    admission, deadline and injected-fault settings, ``solve_many``,
+    ``solve_many_async`` and a plain ``submit`` loop either answer every
+    batch bit-identically or raise a typed error — within a bounded
+    time, never blocking on a flush only their caller could issue."""
     max_pending = data.draw(st.integers(min_value=1, max_value=16), "max_pending")
     overflow = data.draw(st.sampled_from(["block", "reject"]), "overflow")
+    submit_timeout = data.draw(
+        st.one_of(st.none(), st.sampled_from([0.0, 0.01, 0.1])), "submit_timeout"
+    )
     auto_flush = data.draw(
         st.one_of(st.none(), st.integers(min_value=1, max_value=8)), "auto_flush"
     )
@@ -192,6 +196,27 @@ def test_solve_many_returns_or_raises_typed_never_hangs(data):
     tenant_pending = data.draw(
         st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
         "admission pending quota",
+    )
+    deadline_ms = data.draw(
+        st.one_of(st.none(), st.sampled_from([0.0, 1.0, 60_000.0])), "deadline_ms"
+    )
+    faults = data.draw(
+        st.one_of(
+            st.none(),
+            st.builds(
+                lambda seed, p_transient, p_stall: FaultPlan(
+                    seed=seed,
+                    faults=(
+                        TransientKernelFault(probability=p_transient),
+                        WorkerStall(probability=p_stall, stall_ms=1.0),
+                    ),
+                ),
+                st.integers(min_value=0, max_value=2**16),
+                st.sampled_from([0.0, 0.05, 0.5]),
+                st.sampled_from([0.0, 0.5, 1.0]),
+            ),
+        ),
+        "faults",
     )
     batches = data.draw(
         st.lists(request_batches(), max_size=3 * max_pending), "batches"
@@ -211,9 +236,11 @@ def test_solve_many_returns_or_raises_typed_never_hangs(data):
             max_workers=max_workers,
             max_pending=max_pending,
             overflow=overflow,
+            submit_timeout=submit_timeout,
             auto_flush=auto_flush,
             breaker=CircuitBreaker() if with_breaker else None,
             admission=admission,
+            faults=faults,
         )
 
     def solve_sync():
@@ -224,7 +251,22 @@ def test_solve_many_returns_or_raises_typed_never_hangs(data):
         async with make_service() as svc:
             return await svc.solve_many_async(batches)
 
-    for call in (solve_sync, lambda: asyncio.run(solve_async())):
+    def solve_with_deadline():
+        # solve_many's own submit loop, with a per-request deadline.
+        with make_service() as svc:
+            futures = []
+            for batch in batches:
+                if svc.queue_full:
+                    svc.flush()
+                futures.append(svc.submit(batch, deadline_ms=deadline_ms))
+            svc.flush()
+            return [fut.result() for fut in futures]
+
+    for call in (
+        solve_sync,
+        lambda: asyncio.run(solve_async()),
+        solve_with_deadline,
+    ):
         try:
             results = _run_bounded(call)
         except ReproError:

@@ -1,8 +1,7 @@
 """Unit tests for the service's serving building blocks.
 
 Covers per-tenant admission (quota order, typed errors, starvation
-prevention via pending caps), the resizable worker fleet, the
-metrics-driven autoscaler, and the serving additions to the service
+prevention via pending caps) and the serving additions to the service
 primitives (breaker probes, queue-wait histogram, histogram
 quantiles).
 """
@@ -16,9 +15,6 @@ from repro.obs import MetricsRegistry
 from repro.service import (
     PRIORITIES,
     AdmissionController,
-    Autoscaler,
-    AutoscalerPolicy,
-    ScalableWorkerFleet,
     TenantQuota,
 )
 from repro.service.queue import BoundedRequestQueue, CircuitBreaker
@@ -136,191 +132,6 @@ class TestAdmission:
 
     def test_priorities_ordering_is_documented(self):
         assert PRIORITIES == ("batch", "standard", "interactive")
-
-
-# ---------------------------------------------------------------------------
-# ScalableWorkerFleet
-# ---------------------------------------------------------------------------
-
-
-class TestFleet:
-    def test_executes_submitted_work(self):
-        fleet = ScalableWorkerFleet(2)
-        try:
-            futures = [fleet.submit(lambda v=i: v * v) for i in range(8)]
-            assert sorted(f.result(timeout=5) for f in futures) == [
-                i * i for i in range(8)
-            ]
-        finally:
-            fleet.shutdown()
-
-    def test_resize_up_and_down(self):
-        fleet = ScalableWorkerFleet(1)
-        try:
-            assert fleet.resize(4) == 3
-            assert fleet.size == 4
-            assert fleet.resize(2) == -2
-            assert fleet.size == 2
-            # Still serves work after shrinking.
-            assert fleet.submit(lambda: 42).result(timeout=5) == 42
-        finally:
-            fleet.shutdown()
-
-    def test_shrink_does_not_interrupt_running_work(self):
-        fleet = ScalableWorkerFleet(2)
-        release = threading.Event()
-        try:
-            slow = fleet.submit(release.wait, 5)
-            fleet.resize(1)
-            release.set()
-            assert slow.result(timeout=5) is True
-        finally:
-            fleet.shutdown()
-
-    def test_gauge_tracks_width(self):
-        registry = MetricsRegistry()
-        fleet = ScalableWorkerFleet(2)
-        try:
-            fleet.attach_metrics(registry)
-            gauge = registry.get("repro_serve_fleet_workers")
-            assert gauge.value() == 2
-            fleet.resize(5)
-            assert gauge.value() == 5
-        finally:
-            fleet.shutdown()
-            assert gauge.value() == 0
-
-    def test_shutdown_is_idempotent_and_rejects_after(self):
-        fleet = ScalableWorkerFleet(1)
-        fleet.shutdown()
-        fleet.shutdown()
-        with pytest.raises(ConfigurationError):
-            fleet.submit(lambda: 1)
-        with pytest.raises(ConfigurationError):
-            fleet.resize(2)
-
-    def test_worker_exceptions_propagate_via_future(self):
-        fleet = ScalableWorkerFleet(1)
-        try:
-
-            def boom():
-                raise ValueError("nope")
-
-            with pytest.raises(ValueError):
-                fleet.submit(boom).result(timeout=5)
-        finally:
-            fleet.shutdown()
-
-
-# ---------------------------------------------------------------------------
-# Autoscaler
-# ---------------------------------------------------------------------------
-
-
-class _FakeFleet:
-    def __init__(self, size=2):
-        self._size = size
-        self.resizes = []
-
-    @property
-    def size(self):
-        return self._size
-
-    def resize(self, n):
-        self.resizes.append(n)
-        self._size = n
-
-
-class TestAutoscaler:
-    def _setup(self, policy=None):
-        registry = MetricsRegistry()
-        depth = registry.gauge(Autoscaler.DEPTH_METRIC, "")
-        hist = registry.histogram(Autoscaler.LATENCY_METRIC, "")
-        fleet = _FakeFleet(2)
-        scaler = Autoscaler(fleet, registry, policy)
-        return registry, depth, hist, fleet, scaler
-
-    def test_scales_up_proportionally_on_backlog(self):
-        _, depth, _, fleet, scaler = self._setup(
-            AutoscalerPolicy(max_workers=16, target_queue_per_worker=4.0)
-        )
-        depth.set(40.0)  # 40 queued / target 4 => wants 10 workers
-        decision = scaler.tick()
-        assert decision.action == "up"
-        assert decision.reason == "queue_depth"
-        assert fleet.size == 10
-
-    def test_scales_up_on_latency_slo_breach(self):
-        _, depth, hist, fleet, scaler = self._setup(
-            AutoscalerPolicy(max_workers=8, latency_slo_ms=10.0)
-        )
-        depth.set(1.0)  # no backlog
-        for _ in range(100):
-            hist.observe(50.0)  # p99 far over the 10 ms SLO
-        decision = scaler.tick()
-        assert decision.action == "up"
-        assert decision.reason == "latency_slo"
-        assert fleet.size == 3
-
-    def test_scales_down_slowly_after_calm_ticks(self):
-        _, depth, _, fleet, scaler = self._setup(
-            AutoscalerPolicy(idle_ticks_down=3, cooldown_ticks=0)
-        )
-        fleet._size = 4
-        depth.set(0.0)
-        actions = [scaler.tick().action for _ in range(3)]
-        assert actions == ["hold", "hold", "down"]
-        assert fleet.size == 3
-
-    def test_cooldown_suppresses_flapping(self):
-        _, depth, _, fleet, scaler = self._setup(
-            AutoscalerPolicy(max_workers=16, cooldown_ticks=2)
-        )
-        depth.set(100.0)
-        assert scaler.tick().action == "up"
-        assert scaler.tick().reason == "cooldown"
-        assert scaler.tick().reason == "cooldown"
-        assert scaler.tick().action in ("up", "hold")
-
-    def test_respects_max_workers(self):
-        _, depth, _, fleet, scaler = self._setup(
-            AutoscalerPolicy(max_workers=4, cooldown_ticks=0)
-        )
-        depth.set(10_000.0)
-        scaler.tick()
-        assert fleet.size == 4
-        assert scaler.tick().reason in ("at_max", "cooldown")
-
-    def test_decisions_recorded_as_metrics_and_spans(self):
-        from repro.obs import Tracer
-
-        registry = MetricsRegistry()
-        depth = registry.gauge(Autoscaler.DEPTH_METRIC, "")
-        tracer = Tracer()
-        fleet = _FakeFleet(1)
-        scaler = Autoscaler(
-            fleet,
-            registry,
-            AutoscalerPolicy(max_workers=8),
-            tracer=tracer,
-        )
-        depth.set(50.0)
-        scaler.tick(now_ms=123.0)
-        counter = registry.get("repro_serve_autoscaler_decisions_total")
-        assert counter.value(action="up") == 1
-        gauge = registry.get("repro_serve_autoscaler_target_workers")
-        assert gauge.value() > 1
-        spans = [s for s in tracer.spans() if s.category == "autoscale"]
-        assert len(spans) == 1
-        assert spans[0].attr("action") == "up"
-
-    def test_policy_validation(self):
-        with pytest.raises(ConfigurationError):
-            AutoscalerPolicy(min_workers=0)
-        with pytest.raises(ConfigurationError):
-            AutoscalerPolicy(min_workers=8, max_workers=4)
-        with pytest.raises(ConfigurationError):
-            AutoscalerPolicy(target_queue_per_worker=0.0)
 
 
 # ---------------------------------------------------------------------------

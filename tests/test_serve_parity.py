@@ -80,10 +80,9 @@ def test_sync_facade_and_async_frontend_are_bit_identical(batches):
 @settings(**COMMON)
 @given(batches=st.lists(request_batches(), min_size=1, max_size=6))
 def test_serving_tier_matches_standalone_solver(batches):
-    """Admission and autoscaling wrap the request path — never the
-    numbers."""
+    """Admission wraps the request path — never the numbers."""
     admission = AdmissionController(capacity=64)
-    with _service(admission=admission, autoscale=True) as svc:
+    with _service(admission=admission) as svc:
         results = svc.solve_many(batches)
     for batch, res in zip(batches, results):
         direct = MultiStageSolver(DEVICE, SWITCH).solve(batch)
@@ -184,24 +183,3 @@ def test_configuration_error_is_not_counted_as_shed():
         assert svc.stats.snapshot()["requests_shed"] == 0
         requests = svc.metrics.get("repro_service_requests_total")
         assert requests.value(status="shed") == 0
-
-
-def test_autoscaler_ticks_on_every_auto_flush():
-    batches = [generators.random_dominant(1, 64, rng=i) for i in range(200)]
-    with BatchSolveService(
-        DEVICE, SWITCH, max_workers=1, autoscale=True, auto_flush=8
-    ) as svc:
-        for batch in batches:
-            svc.submit(batch)
-        svc.drain()
-        decisions = list(svc.autoscaler.decisions)
-    # 200 requests / auto_flush 8 = 25 flushes, each ticking first.
-    assert len(decisions) >= len(batches) // 8
-    assert max(d.workers_after for d in decisions) > 1
-
-
-def test_autoscale_needs_the_built_in_fleet():
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(1) as pool, pytest.raises(ConfigurationError):
-        BatchSolveService(DEVICE, SWITCH, autoscale=True, executor=pool)

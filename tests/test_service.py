@@ -22,7 +22,11 @@ from repro.service import (
     group_requests,
 )
 from repro.systems import generators
-from repro.util.errors import ConfigurationError, ServiceOverloadedError
+from repro.util.errors import (
+    ConfigurationError,
+    ServiceError,
+    ServiceOverloadedError,
+)
 
 DEVICE = "gtx470"
 # Fixed switch points so the golden grouping below is fully deterministic
@@ -311,6 +315,29 @@ def test_solve_many_past_max_pending_does_not_hang(entry):
     assert len(results) == len(batches)
     for batch, res in zip(batches, results):
         np.testing.assert_array_equal(direct.solve(batch).x, res.x)
+
+
+def test_flush_on_a_refused_pool_fails_every_drained_request_typed():
+    # The pool refuses work (it was shut down under the service), after
+    # flush already drained the queue: nothing else will ever settle
+    # those requests, so flush must fail each one typed instead of
+    # leaving its future pending and its result() caller hung.
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(1)
+    svc = BatchSolveService(DEVICE, SWITCH, executor=pool)
+    batches = [
+        generators.random_dominant(1, n, rng=i)
+        for i, n in enumerate((64, 64, 128, 128))
+    ]
+    futures = [svc.submit(batch) for batch in batches]
+    pool.shutdown()
+    with pytest.raises(ServiceError):
+        svc.flush()
+    for fut in futures:
+        assert isinstance(fut.exception(timeout=5), ServiceError)
+    assert svc.stats.snapshot()["requests_failed"] == len(batches)
+    svc.close()
 
 
 # ---------------------------------------------------------------------------
