@@ -8,7 +8,14 @@ from .spike import spike_solve, truncated_spike_solve
 from .cr_pcr import cr_pcr_solve
 from .lu import TridiagonalLU, lu_factor, lu_solve, lu_solve_factored, scipy_banded_solve
 from .padding import pad_pow2, unpad_solution
-from .pcr import pcr_reduce, pcr_solve, pcr_split, pcr_step, pcr_unsplit_solution
+from .pcr import (
+    pcr_reduce,
+    pcr_reduce_arrays,
+    pcr_solve,
+    pcr_split,
+    pcr_step,
+    pcr_unsplit_solution,
+)
 from .pcr_thomas import normalize_thomas_switch, pcr_thomas_solve
 from .recursive_doubling import recursive_doubling_solve
 from .registry import ALGORITHMS, AlgorithmInfo, algorithm_names, get_algorithm, solve_with
@@ -30,6 +37,7 @@ __all__ = [
     "cr_forward_levels",
     "pcr_step",
     "pcr_reduce",
+    "pcr_reduce_arrays",
     "pcr_split",
     "pcr_unsplit_solution",
     "pcr_solve",

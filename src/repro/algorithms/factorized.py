@@ -22,7 +22,7 @@ from ..systems.tridiagonal import TridiagonalBatch
 from ..util.errors import ShapeError
 from ..util.validation import check_power_of_two, ilog2
 from .lu import TridiagonalLU, lu_factor, lu_solve_factored
-from .pcr import _gather, _scatter, pcr_step
+from .pcr import _couple, _gather, _scatter, pcr_reduce_arrays
 
 __all__ = ["PcrThomasFactorization", "factorize"]
 
@@ -41,17 +41,30 @@ class PcrThomasFactorization:
     steps: List[Tuple[np.ndarray, np.ndarray]]
     lu: TridiagonalLU
 
+    def _apply_steps(self, d: np.ndarray) -> np.ndarray:
+        """Run the PCR levels' RHS update on ``d`` (``(..., m, n)``).
+
+        Each level is ``(d + alpha * d_lo) + gamma * d_hi``, the same
+        pad-free update the reduction applies to its own ``d``.
+        """
+        if not self.steps:
+            return d
+        dtype = np.result_type(d, self.steps[0][0])
+        bufs = [np.empty(d.shape, dtype) for _ in range(3)]
+        stride = 1
+        for j, (alpha, gamma) in enumerate(self.steps):
+            out = bufs[j % 2]
+            _couple(out, d, alpha, d, gamma, d, stride, -1, bufs[2])
+            d = out
+            stride *= 2
+        return d
+
     def solve(self, d: np.ndarray) -> np.ndarray:
         """Solve ``A x = d`` for a new RHS using the cached factors."""
         d = np.asarray(d)
         if d.shape != self.shape:
             raise ShapeError(f"d has shape {d.shape}, expected {self.shape}")
-        stride = 1
-        for alpha, gamma in self.steps:
-            pad = ((0, 0), (stride, stride))
-            dp = np.pad(d, pad)
-            d = d + alpha * dp[:, : d.shape[1]] + gamma * dp[:, 2 * stride :]
-            stride *= 2
+        d = self._apply_steps(d)
         d_split = _gather(d, self.split_depth) if self.split_depth else d
         x = lu_solve_factored(self.lu, d_split)
         return _scatter(x, self.split_depth) if self.split_depth else x
@@ -69,20 +82,10 @@ class PcrThomasFactorization:
                 f"got {d_stack.shape}"
             )
         r = d_stack.shape[0]
-        flat = d_stack.reshape(r * self.shape[0], self.shape[1])
-        # The step coefficients tile across the stacked systems.
-        stride = 1
-        for alpha, gamma in self.steps:
-            alpha_t = np.tile(alpha, (r, 1))
-            gamma_t = np.tile(gamma, (r, 1))
-            pad = ((0, 0), (stride, stride))
-            dp = np.pad(flat, pad)
-            flat = (
-                flat
-                + alpha_t * dp[:, : flat.shape[1]]
-                + gamma_t * dp[:, 2 * stride :]
-            )
-            stride *= 2
+        # The step coefficients broadcast across the stacked systems.
+        flat = self._apply_steps(d_stack).reshape(
+            r * self.shape[0], self.shape[1]
+        )
         d_split = _gather(flat, self.split_depth) if self.split_depth else flat
         lu_tiled = TridiagonalLU(
             l=np.tile(self.lu.l, (r, 1)),
@@ -112,26 +115,18 @@ def factorize(
             f"split_depth {split_depth} invalid for system size {n}"
         )
 
-    a, b, c = batch.a, batch.b, batch.c
-    d = np.zeros_like(b)
     steps: List[Tuple[np.ndarray, np.ndarray]] = []
-    stride = 1
-    for _ in range(split_depth):
-        pad = ((0, 0), (stride, stride))
-        b_lo = np.pad(b, pad, constant_values=1)[:, : b.shape[1]]
-        b_hi = np.pad(b, pad, constant_values=1)[:, 2 * stride :]
-        alpha = -a / b_lo
-        gamma = -c / b_hi
-        steps.append((alpha, gamma))
-        a, b, c, d = pcr_step(a, b, c, d, stride)
-        stride *= 2
+    a, b, c, d = pcr_reduce_arrays(
+        batch.a,
+        batch.b,
+        batch.c,
+        np.zeros_like(batch.b),
+        split_depth,
+        axis=1,
+        multipliers=steps,
+    )
 
-    split = TridiagonalBatch(
-        _gather(a, split_depth),
-        _gather(b, split_depth),
-        _gather(c, split_depth),
-        _gather(d, split_depth),
-    ) if split_depth else TridiagonalBatch(a, b, c, d)
+    split = TridiagonalBatch(*(_gather(x, split_depth) for x in (a, b, c, d)))
     lu = lu_factor(split)
     return PcrThomasFactorization(
         shape=batch.shape, split_depth=split_depth, steps=steps, lu=lu

@@ -9,12 +9,17 @@ distance, so after ``k`` steps a system of size ``n`` decomposes into
 precisely the *splitting* primitive used by the paper's stage 1, stage 2
 and stage 3.
 
-The module exposes three layers:
+Every numeric split in the package runs through one reduction:
 
-- :func:`pcr_step` — one reduction step on raw coefficient arrays;
-- :func:`pcr_split` — ``k`` steps plus the gather that reorders the
-  interleaved subsystems into a contiguous batch (and
-  :func:`pcr_unsplit_solution` to undo the reorder on solutions);
+- :func:`pcr_reduce_arrays` — ``k`` pad-free steps along either axis
+  (``axis=1`` for the row-major ``(m, n)`` layout, ``axis=0`` for the
+  interleaved ``(n, m)`` layout of :mod:`repro.kernels.batched`), into
+  buffers allocated once per call and reused by every step;
+- :func:`pcr_step` — one step on raw ``(m, n)`` coefficient arrays;
+- :func:`pcr_reduce` / :func:`pcr_split` — ``k`` steps, the latter plus
+  the gather that reorders the interleaved subsystems into a contiguous
+  batch (and :func:`pcr_unsplit_solution` to undo the reorder on
+  solutions);
 - :func:`pcr_solve` — full solve by running ``log2(n)`` steps until every
   subsystem has size 1.
 
@@ -23,7 +28,7 @@ All functions are vectorised over the whole batch.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +37,7 @@ from ..util.errors import ConfigurationError
 from ..util.validation import check_power_of_two, ilog2, require
 
 __all__ = [
+    "pcr_reduce_arrays",
     "pcr_step",
     "pcr_split",
     "pcr_unsplit_solution",
@@ -40,6 +46,138 @@ __all__ = [
 ]
 
 Coeffs = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _along(axis: int, start, stop) -> tuple:
+    """Index tuple selecting ``start:stop`` along ``axis``.
+
+    A negative ``axis`` counts from the end, so a trailing-axis index
+    also applies to stacked (broadcast) operands.
+    """
+    part = slice(start, stop)
+    if axis < 0:
+        return (Ellipsis, part) + (slice(None),) * (-axis - 1)
+    return (slice(None),) * axis + (part,)
+
+
+def _times_lo(out, mult, src, s: int, axis: int) -> None:
+    """``out[i] = mult[i] * src[i - s]``; ``mult[i] * 0.0`` where ``i < s``.
+
+    Rows without a lower neighbour multiply by the identity equation's
+    zero literally, so signed zeros match the padded formula.
+    """
+    n = out.shape[axis]
+    e = min(s, n)
+    np.multiply(
+        mult[_along(axis, e, None)],
+        src[_along(axis, None, n - e)],
+        out=out[_along(axis, e, None)],
+    )
+    np.multiply(mult[_along(axis, None, e)], 0.0, out=out[_along(axis, None, e)])
+
+
+def _times_hi(out, mult, src, s: int, axis: int) -> None:
+    """``out[i] = mult[i] * src[i + s]``; ``mult[i] * 0.0`` where ``i + s >= n``."""
+    n = out.shape[axis]
+    h = max(n - s, 0)
+    np.multiply(
+        mult[_along(axis, None, h)],
+        src[_along(axis, n - h, None)],
+        out=out[_along(axis, None, h)],
+    )
+    np.multiply(mult[_along(axis, h, None)], 0.0, out=out[_along(axis, h, None)])
+
+
+def _couple(
+    out: np.ndarray,
+    base: np.ndarray,
+    lo_mult: np.ndarray,
+    lo_src: np.ndarray,
+    hi_mult: np.ndarray,
+    hi_src: np.ndarray,
+    s: int,
+    axis: int,
+    scratch: np.ndarray,
+) -> None:
+    """``out = (base + lo_mult * lo_src[i-s]) + hi_mult * hi_src[i+s]``.
+
+    The shared update of one PCR step (for ``b`` and ``d``) and of a
+    factored RHS sweep. ``scratch`` is a buffer shaped like ``out``; the
+    multipliers may broadcast against it along the leading axes.
+    """
+    _times_lo(scratch, lo_mult, lo_src, s, axis)
+    np.add(base, scratch, out=out)
+    _times_hi(scratch, hi_mult, hi_src, s, axis)
+    np.add(out, scratch, out=out)
+
+
+def pcr_reduce_arrays(
+    a: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray,
+    d: np.ndarray,
+    steps: int,
+    axis: int,
+    start_stride: int = 1,
+    *,
+    multipliers: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None,
+) -> Coeffs:
+    """Run ``steps`` PCR steps along ``axis``, strides ``start_stride * 2^j``.
+
+    Step ``j`` eliminates each equation's coupling to its distance-``s``
+    neighbours (``s = start_stride * 2^j``), producing equations that
+    couple at distance ``2s``. Out-of-range neighbours are the identity
+    equation (``b=1, a=c=d=0``): boundary rows apply its arithmetic
+    literally (``-a``, ``alpha * 0.0``, ``gamma * 0.0``) instead of
+    reading padded copies, and every update keeps the order
+    ``(b + alpha*c_lo) + gamma*a_hi``, so each element is bit-identical to
+    the padded textbook step.
+
+    ``axis=1`` is the row-major ``(m, n)`` layout, ``axis=0`` the
+    interleaved ``(n, m)`` one. The steps ping-pong between two sets of
+    four output buffers plus one scratch array, allocated once per call;
+    the inputs are never written and the result shares no memory with
+    them. With a ``multipliers`` list, each step appends copies of its
+    ``(alpha, gamma)`` elimination coefficients.
+    """
+    require(steps >= 0, f"steps must be >= 0, got {steps}")
+    s = int(start_stride)
+    require(1 <= s, f"stride must be >= 1, got {s}")
+    if steps == 0:
+        return a.copy(), b.copy(), c.copy(), d.copy()
+    dtype = np.result_type(a, b, c, d)
+    shape = b.shape
+    n = shape[axis]
+    scratch = np.empty(shape, dtype)
+    sets = [tuple(np.empty(shape, dtype) for _ in range(4))]
+    if steps > 1:
+        sets.append(tuple(np.empty(shape, dtype) for _ in range(4)))
+    for j in range(steps):
+        na, nb, nc, nd = sets[j % 2]
+        e, h = min(s, n), max(n - s, 0)
+        # alpha = -a / b_lo into na; gamma = -c / b_hi into nc. Rows with
+        # no neighbour divide by the identity's 1, i.e. keep -a / -c.
+        np.negative(a, out=na)
+        np.divide(
+            na[_along(axis, e, None)],
+            b[_along(axis, None, n - e)],
+            out=na[_along(axis, e, None)],
+        )
+        np.negative(c, out=nc)
+        np.divide(
+            nc[_along(axis, None, h)],
+            b[_along(axis, n - h, None)],
+            out=nc[_along(axis, None, h)],
+        )
+        _couple(nb, b, na, c, nc, a, s, axis, scratch)
+        _couple(nd, d, na, d, nc, d, s, axis, scratch)
+        if multipliers is not None:
+            multipliers.append((na.copy(), nc.copy()))
+        _times_lo(na, na, a, s, axis)
+        _times_hi(nc, nc, c, s, axis)
+        a, b, c, d = na, nb, nc, nd
+        s *= 2
+    return a, b, c, d
 
 
 def pcr_step(
@@ -55,28 +193,7 @@ def pcr_step(
 
     Arrays are ``(m, n)``; returns new arrays (inputs are not modified).
     """
-    m, n = b.shape
-    s = int(stride)
-    require(1 <= s, f"stride must be >= 1, got {s}")
-
-    # Padded neighbour views: index i-s and i+s for every i in one slice.
-    pad = ((0, 0), (s, s))
-    ap = np.pad(a, pad, constant_values=0)
-    bp = np.pad(b, pad, constant_values=1)
-    cp = np.pad(c, pad, constant_values=0)
-    dp = np.pad(d, pad, constant_values=0)
-
-    a_lo, b_lo, c_lo, d_lo = (arr[:, 0:n] for arr in (ap, bp, cp, dp))
-    a_hi, b_hi, c_hi, d_hi = (arr[:, 2 * s :] for arr in (ap, bp, cp, dp))
-
-    alpha = -a / b_lo
-    gamma = -c / b_hi
-
-    new_a = alpha * a_lo
-    new_b = b + alpha * c_lo + gamma * a_hi
-    new_c = gamma * c_hi
-    new_d = d + alpha * d_lo + gamma * d_hi
-    return new_a, new_b, new_c, new_d
+    return pcr_reduce_arrays(a, b, c, d, 1, axis=1, start_stride=stride)
 
 
 def pcr_reduce(batch: TridiagonalBatch, steps: int) -> TridiagonalBatch:
@@ -86,13 +203,9 @@ def pcr_reduce(batch: TridiagonalBatch, steps: int) -> TridiagonalBatch:
     ``2**steps`` form independent subsystems *in place*. Use
     :func:`pcr_split` when you want them gathered contiguously.
     """
-    require(steps >= 0, f"steps must be >= 0, got {steps}")
-    a, b, c, d = batch.a, batch.b, batch.c, batch.d
-    stride = 1
-    for _ in range(steps):
-        a, b, c, d = pcr_step(a, b, c, d, stride)
-        stride *= 2
-    return TridiagonalBatch(a, b, c, d)
+    return TridiagonalBatch(
+        *pcr_reduce_arrays(batch.a, batch.b, batch.c, batch.d, steps, axis=1)
+    )
 
 
 def _gather(arr: np.ndarray, k: int) -> np.ndarray:
@@ -163,7 +276,8 @@ def pcr_solve(batch: TridiagonalBatch) -> np.ndarray:
     """
     n = batch.system_size
     check_power_of_two(n, "system_size")
-    steps = ilog2(n)
-    reduced = pcr_reduce(batch, steps)
+    _, b, _, d = pcr_reduce_arrays(
+        batch.a, batch.b, batch.c, batch.d, ilog2(n), axis=1
+    )
     # After full reduction every equation reads b * x = d.
-    return reduced.d / reduced.b
+    return d / b

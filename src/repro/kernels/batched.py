@@ -7,13 +7,14 @@ step is a single NumPy sweep whose GPU equivalent is a fully coalesced
 pass — the layout trick of Gloster et al. (arXiv:1909.04539) and the
 batched-PDE solvers of Carroll et al. (arXiv:2107.05395).
 
-The numerics mirror :mod:`repro.algorithms.thomas`,
-:mod:`repro.algorithms.pcr`, and :mod:`repro.algorithms.pcr_thomas`
-operation-for-operation with the axes swapped. Because every update is
-elementwise across the system axis (no cross-system reductions), the
-floats produced per logical element are **bit-identical** to the
-row-major path — the property the IR fusion pass
-(:func:`repro.ir.passes.fuse_batched`) and its parity tests rely on.
+The PCR splits run the very reduction the row-major path runs,
+:func:`repro.algorithms.pcr.pcr_reduce_arrays`, along ``axis=0``; Thomas
+mirrors :mod:`repro.algorithms.thomas` operation-for-operation with the
+axes swapped. Because every update is elementwise across the system
+axis (no cross-system reductions), the floats produced per logical
+element are **bit-identical** to the row-major path — the property the
+IR fusion pass (:func:`repro.ir.passes.fuse_batched`) and its parity
+tests rely on.
 
 Three launchable kernels are exposed:
 
@@ -28,10 +29,10 @@ Three launchable kernels are exposed:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
+from ..algorithms.pcr import pcr_reduce_arrays
 from ..algorithms.pcr_thomas import normalize_thomas_switch
 from ..algorithms.thomas import _pivot_floor
 from ..gpu.cost import ComputePhase, KernelCost
@@ -67,14 +68,12 @@ __all__ = [
     "BatchedSweepKernel",
 ]
 
-_Coeffs = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
 # -- interleaved numerics ----------------------------------------------------
 #
-# Exact mirrors of the row-major algorithms with the axes swapped:
-# arrays are (n, m), sweeps run over axis 0, and every expression applies
-# the same per-element arithmetic in the same order.
+# Arrays are (n, m) and sweeps run over axis 0. The PCR steps are the
+# shared row-major reduction with axis=0; Thomas and the gathers mirror
+# the row-major code with the axes swapped, applying the same
+# per-element arithmetic in the same order.
 
 
 def batched_thomas_sweep(
@@ -118,33 +117,6 @@ def batched_thomas_sweep(
     for i in range(n - 2, -1, -1):
         x[i, :] = dp[i, :] - cp[i, :] * x[i + 1, :]
     return x
-
-
-def _batched_pcr_step(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, stride: int
-) -> _Coeffs:
-    """One PCR step on ``(n, m)`` arrays, coupling along axis 0."""
-    n = b.shape[0]
-    s = int(stride)
-    require(1 <= s, f"stride must be >= 1, got {s}")
-
-    pad = ((s, s), (0, 0))
-    ap = np.pad(a, pad, constant_values=0)
-    bp = np.pad(b, pad, constant_values=1)
-    cp = np.pad(c, pad, constant_values=0)
-    dp = np.pad(d, pad, constant_values=0)
-
-    a_lo, b_lo, c_lo, d_lo = (arr[0:n, :] for arr in (ap, bp, cp, dp))
-    a_hi, b_hi, c_hi, d_hi = (arr[2 * s :, :] for arr in (ap, bp, cp, dp))
-
-    alpha = -a / b_lo
-    gamma = -c / b_hi
-
-    new_a = alpha * a_lo
-    new_b = b + alpha * c_lo + gamma * a_hi
-    new_c = gamma * c_hi
-    new_d = d + alpha * d_lo + gamma * d_hi
-    return new_a, new_b, new_c, new_d
 
 
 def _batched_gather(arr: np.ndarray, k: int) -> np.ndarray:
@@ -191,11 +163,9 @@ def batched_pcr_split(
         raise ConfigurationError(
             f"system size {n} not divisible by 2**steps = {groups}"
         )
-    a, b, c, d = batched.a, batched.b, batched.c, batched.d
-    stride = 1
-    for _ in range(steps):
-        a, b, c, d = _batched_pcr_step(a, b, c, d, stride)
-        stride *= 2
+    a, b, c, d = pcr_reduce_arrays(
+        batched.a, batched.b, batched.c, batched.d, steps, axis=0
+    )
     return BatchedTridiagonal(
         _batched_gather(a, steps),
         _batched_gather(b, steps),
@@ -216,11 +186,9 @@ def batched_pcr_solve(batched: BatchedTridiagonal) -> np.ndarray:
     """Pure PCR over the interleaved axis: reduce to size-1 systems."""
     n = batched.system_size
     check_power_of_two(n, "system_size")
-    a, b, c, d = batched.a, batched.b, batched.c, batched.d
-    stride = 1
-    for _ in range(ilog2(n)):
-        a, b, c, d = _batched_pcr_step(a, b, c, d, stride)
-        stride *= 2
+    _, b, _, d = pcr_reduce_arrays(
+        batched.a, batched.b, batched.c, batched.d, ilog2(n), axis=0
+    )
     return d / b
 
 

@@ -7,6 +7,9 @@ Invariants under test:
 - PCR preserves diagonal dominance (so later stages remain stable);
 - padding round-trips exactly;
 - LU factors reproduce Thomas results;
+- the shared pad-free PCR reduction reproduces the padded textbook step
+  bit for bit (as integer bit patterns, so signed zeros count), along
+  both layouts' axes;
 - solvers are stack-equivariant: stacking independent batches and
   solving once is bit-identical to solving each batch alone (the
   contract the batched solve service is built on).
@@ -20,6 +23,7 @@ from repro.algorithms import (
     lu_solve,
     pad_pow2,
     pcr_reduce,
+    pcr_reduce_arrays,
     pcr_solve,
     pcr_split,
     pcr_thomas_solve,
@@ -219,3 +223,86 @@ def test_pcr_split_stack_equivariance(batches, depth):
         np.testing.assert_array_equal(split_all.b[rows], alone.b)
         np.testing.assert_array_equal(split_all.d[rows], alone.d)
         offset += batch.num_systems << depth
+
+
+def _padded_pcr_step(a, b, c, d, s, axis):
+    """The textbook PCR step: pad with the identity equation, then slice.
+
+    The formula the package shipped before the pad-free reduction; kept
+    here only as the bit-pattern oracle for it.
+    """
+    n = b.shape[axis]
+    pad = [(0, 0), (0, 0)]
+    pad[axis] = (s, s)
+    ap = np.pad(a, pad, constant_values=0)
+    bp = np.pad(b, pad, constant_values=1)
+    cp = np.pad(c, pad, constant_values=0)
+    dp = np.pad(d, pad, constant_values=0)
+    lo = (slice(None),) * axis + (slice(0, n),)
+    hi = (slice(None),) * axis + (slice(2 * s, None),)
+    alpha = -a / bp[lo]
+    gamma = -c / bp[hi]
+    new_a = alpha * ap[lo]
+    new_b = b + alpha * cp[lo] + gamma * ap[hi]
+    new_c = gamma * cp[hi]
+    new_d = d + alpha * dp[lo] + gamma * dp[hi]
+    return new_a, new_b, new_c, new_d
+
+
+@st.composite
+def signed_zero_coefficients(draw):
+    """Strictly dominant coefficients along a random axis, rich in ±0.0.
+
+    ``|b|`` in ``[2, 4]`` with either sign against ``|a|, |c| < 0.9``
+    keeps every reduced diagonal nonzero, so no step divides by zero
+    and no NaN (whose payload IEEE leaves unspecified) ever appears.
+    A quarter of ``a``, ``c`` and ``d`` are exact zeros of either sign.
+    """
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    axis = draw(st.sampled_from([0, 1]))
+    m = draw(st.sampled_from([1, 3, 16]))
+    n = draw(st.integers(min_value=1, max_value=1024))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    shape = (m, n) if axis == 1 else (n, m)
+
+    def off_diagonal():
+        x = rng.uniform(-0.9, 0.9, shape)
+        zeros = rng.random(shape) < 0.25
+        x[zeros] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zeros]
+        return x.astype(dtype)
+
+    b = (rng.uniform(2.0, 4.0, shape) * rng.choice([-1.0, 1.0], shape)).astype(dtype)
+    return axis, (off_diagonal(), b, off_diagonal(), off_diagonal())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coeffs=signed_zero_coefficients(),
+    start_exp=st.integers(min_value=0, max_value=11),
+    start_odd=st.sampled_from([1, 3]),
+    steps=st.integers(min_value=1, max_value=4),
+)
+def test_reduce_arrays_matches_padded_step_bit_patterns(
+    coeffs, start_exp, start_odd, steps
+):
+    """Every element of every step equals the padded formula's, bit for bit.
+
+    ``assert_array_equal`` treats ``-0.0 == 0.0``, so the comparison is on
+    ``.view(uint)``. Start strides run from 1 past ``n = 1024`` (every
+    row an identity-neighbour boundary row) and include non-powers of
+    two; ``steps`` doubles the stride from there.
+    """
+    axis, (a, b, c, d) = coeffs
+    start_stride = start_odd << start_exp
+    uint = np.uint32 if b.dtype == np.float32 else np.uint64
+    expected = (a, b, c, d)
+    stride = start_stride
+    for _ in range(steps):
+        expected = _padded_pcr_step(*expected, stride, axis)
+        stride *= 2
+    got = pcr_reduce_arrays(a, b, c, d, steps, axis, start_stride)
+    for name, want, have in zip("abcd", expected, got):
+        assert have.dtype == want.dtype, name
+        np.testing.assert_array_equal(
+            have.view(uint), want.view(uint), err_msg=f"coefficient {name}"
+        )
