@@ -13,36 +13,39 @@ from typing import Tuple
 
 import numpy as np
 
-from ..systems.tridiagonal import TridiagonalBatch
 from ..util.validation import is_power_of_two, next_power_of_two
+from .pcr import Batch, _Periodic
 
 __all__ = ["pad_pow2", "unpad_solution"]
 
 
-def pad_pow2(batch: TridiagonalBatch) -> Tuple[TridiagonalBatch, int]:
+def pad_pow2(batch: Batch) -> Tuple[Batch, int]:
     """Pad every system to the next power-of-two size.
 
     Returns ``(padded_batch, original_size)``. When the size is already a
-    power of two the original batch is returned unchanged.
+    power of two the original batch is returned unchanged. Either layout;
+    a shared matrix is padded once and stays shared.
     """
     n = batch.system_size
     if is_power_of_two(n):
         return batch, n
-    target = next_power_of_two(n)
-    m = batch.num_systems
-    extra = target - n
-    dtype = batch.dtype
+    work = _Periodic.of(batch)
+    extra = next_power_of_two(n) - n
 
     def _pad(arr: np.ndarray, fill: float) -> np.ndarray:
-        tail = np.full((m, extra), fill, dtype=dtype)
-        return np.concatenate([arr, tail], axis=1)
+        shape = list(arr.shape)
+        shape[work.axis] = extra
+        tail = np.full(shape, fill, dtype=arr.dtype)
+        return np.concatenate([arr, tail], axis=work.axis)
 
-    return (
-        TridiagonalBatch(
-            _pad(batch.a, 0.0), _pad(batch.b, 1.0), _pad(batch.c, 0.0), _pad(batch.d, 0.0)
-        ),
-        n,
+    padded = _Periodic(
+        _pad(work.a, 0.0),
+        _pad(work.b, 1.0),
+        _pad(work.c, 0.0),
+        _pad(work.d, 0.0),
+        axis=work.axis,
     )
+    return (padded if work is batch else padded.public()), n
 
 
 def unpad_solution(x: np.ndarray, original_size: int) -> np.ndarray:

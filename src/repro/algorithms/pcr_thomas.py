@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..systems.tridiagonal import TridiagonalBatch
-from ..util.errors import ConfigurationError
 from ..util.validation import check_power_of_two, ilog2
-from .pcr import pcr_split, pcr_unsplit_solution
-from .thomas import thomas_solve
+from .pcr import Batch, _Periodic, _scatter, _scatter_interleaved, pcr_split
+from .thomas import _thomas
 
 __all__ = ["pcr_thomas_solve", "normalize_thomas_switch"]
 
@@ -37,7 +35,7 @@ def normalize_thomas_switch(system_size: int, thomas_switch: int) -> int:
 
 
 def pcr_thomas_solve(
-    batch: TridiagonalBatch,
+    batch: Batch,
     thomas_switch: int = 64,
     *,
     check: bool = True,
@@ -47,17 +45,17 @@ def pcr_thomas_solve(
     ``thomas_switch`` is the number of independent subsystems each system
     is split into before Thomas takes over (the paper's stage-3→4 switch
     point). Must be a power of two; values above the system size are
-    clamped (each equation would already stand alone).
+    clamped (each equation would already stand alone). Either layout;
+    the solution comes back in the batch's layout.
     """
-    n = batch.system_size
+    work = _Periodic.of(batch)
+    n = work.system_size
     if n == 1:
-        return batch.d / batch.b
+        return work.flat(work.d / work.b)
     switch = normalize_thomas_switch(n, thomas_switch)
     steps = ilog2(switch)
-    if (n >> steps) < 1:
-        raise ConfigurationError(
-            f"thomas_switch {switch} exceeds system size {n}"
-        )
-    split = pcr_split(batch, steps)
-    x_split = thomas_solve(split, check=check)
-    return pcr_unsplit_solution(x_split, steps)
+    x_split = _thomas(pcr_split(work, steps), check)
+    if not steps:
+        return np.ascontiguousarray(x_split)
+    unsplit = _scatter_interleaved if work.axis == 0 else _scatter
+    return unsplit(x_split, steps)

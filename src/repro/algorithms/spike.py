@@ -144,7 +144,8 @@ def spike_rhs(chunk: ChunkSplit) -> TridiagonalBatch:
     ``y``), rows ``[m, 2m)`` the left coupling impulse (solution ``w``),
     rows ``[2m, 3m)`` the right coupling impulse (solution ``v``). All
     three share the chunk's decoupled matrix, so one vectorised solve
-    covers them.
+    covers them. With one system (``m == 1``) that matrix is broadcast,
+    not tiled: the batch is a shared-matrix batch.
     """
     m, q = chunk.batch.shape
     dtype = chunk.batch.dtype
@@ -154,6 +155,8 @@ def spike_rhs(chunk: ChunkSplit) -> TridiagonalBatch:
     rhs_v[:, -1] = chunk.right_coupling
 
     def tile(arr: np.ndarray) -> np.ndarray:
+        if m == 1:
+            return np.broadcast_to(arr, (3, q))
         return np.concatenate([arr, arr, arr])
 
     return TridiagonalBatch(

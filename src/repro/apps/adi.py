@@ -23,6 +23,23 @@ from ..util.errors import ConfigurationError, ShapeError
 __all__ = ["AdiDiffusion2D", "AdiDiffusion3D", "AdiStepReport"]
 
 
+def _implicit_batch(r: float, rhs: np.ndarray) -> TridiagonalBatch:
+    """``(1 + 2r) u - r (u_- + u_+) = rhs`` along every row of ``rhs``.
+
+    Every grid line shares one constant matrix, so its three diagonals
+    are ``(1, n)`` rows broadcast to the batch: a shared-matrix batch,
+    which the solver reduces once instead of once per line.
+    """
+    m, n = rhs.shape
+    a = np.full((1, n), -r)
+    b = np.full((1, n), 1.0 + 2.0 * r)
+    c = np.full((1, n), -r)
+    a[:, 0] = 0.0
+    c[:, -1] = 0.0
+    a, b, c = (np.broadcast_to(x, (m, n)) for x in (a, b, c))
+    return TridiagonalBatch(a, b, c, rhs)
+
+
 @dataclass
 class AdiStepReport:
     """Accumulated accounting for an integration run."""
@@ -76,14 +93,8 @@ class AdiDiffusion2D:
 
     def _implicit_sweep(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(1 + 2r) u - r (u_- + u_+) = rhs`` along each row."""
-        m, n = rhs.shape
-        r = self.r
-        a = np.full((m, n), -r)
-        b = np.full((m, n), 1.0 + 2.0 * r)
-        c = np.full((m, n), -r)
-        a[:, 0] = 0.0
-        c[:, -1] = 0.0
-        result = self.solver.solve(TridiagonalBatch(a, b, c, rhs))
+        m = rhs.shape[0]
+        result = self.solver.solve(_implicit_batch(self.r, rhs))
         self.report.merge_sweep(m, result.simulated_ms)
         return result.x
 
@@ -174,13 +185,7 @@ class AdiDiffusion3D:
         n = moved.shape[-1]
         flat = np.ascontiguousarray(moved).reshape(-1, n)
         m = flat.shape[0]
-        r = self.r
-        a = np.full((m, n), -r)
-        b = np.full((m, n), 1.0 + 2.0 * r)
-        c = np.full((m, n), -r)
-        a[:, 0] = 0.0
-        c[:, -1] = 0.0
-        result = self.solver.solve(TridiagonalBatch(a, b, c, flat))
+        result = self.solver.solve(_implicit_batch(self.r, flat))
         self.report.merge_sweep(m, result.simulated_ms)
         return np.moveaxis(result.x.reshape(lead_shape + (n,)), -1, axis)
 

@@ -5,9 +5,10 @@ without pivoting) on a 3.4 GHz Core i5 with two cores: many systems are
 distributed over two OpenMP threads (one MKL call per system), a single
 system runs on one thread ("the MKL solver is sequential").
 
-Numerics here are the library's own banded LU
-(:mod:`repro.algorithms.lu`, validated against LAPACK); the *timing* is a
-calibrated CPU cost model with three terms:
+Numerics run through LAPACK's banded solve
+(:func:`~repro.algorithms.lu.scipy_banded_solve`, the gtsv-class
+routine MKL itself ships); the *timing* is a calibrated CPU cost model
+with three terms:
 
 - a per-equation LU cost (factor + two sweeps) for data in cache,
 - a per-MKL-call dispatch overhead,
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..algorithms.lu import lu_solve
+from ..algorithms.lu import scipy_banded_solve
 from ..systems.tridiagonal import TridiagonalBatch
 from ..util.errors import ConfigurationError
 from ..util.units import ns_to_ms, us_to_ms
@@ -106,7 +107,7 @@ class MklLikeCpuSolver:
 
     def solve(self, batch: TridiagonalBatch) -> CpuSolveResult:
         """Solve ``batch`` exactly and attach the modelled time."""
-        x = lu_solve(batch)
+        x = scipy_banded_solve(batch)
         ms = self.modeled_time_ms(
             batch.num_systems, batch.system_size, batch.dtype.itemsize
         )

@@ -7,14 +7,16 @@ step is a single NumPy sweep whose GPU equivalent is a fully coalesced
 pass — the layout trick of Gloster et al. (arXiv:1909.04539) and the
 batched-PDE solvers of Carroll et al. (arXiv:2107.05395).
 
-The PCR splits run the very reduction the row-major path runs,
-:func:`repro.algorithms.pcr.pcr_reduce_arrays`, along ``axis=0``; Thomas
-mirrors :mod:`repro.algorithms.thomas` operation-for-operation with the
-axes swapped. Because every update is elementwise across the system
-axis (no cross-system reductions), the floats produced per logical
-element are **bit-identical** to the row-major path — the property the
-IR fusion pass (:func:`repro.ir.passes.fuse_batched`) and its parity
-tests rely on.
+The numerics are not a second implementation: the PCR splits, Thomas
+and the hybrid are the row-major functions of :mod:`repro.algorithms`
+run on the interleaved period form (``(n, 1, P)`` matrix against an
+``(n, m/P, P)`` right-hand side, reduced along ``axis=0``). Because every
+update is elementwise across the system axis (no cross-system
+reductions), the floats produced per logical element are
+**bit-identical** to the row-major path — the property the IR fusion
+pass (:func:`repro.ir.passes.fuse_batched`) and its parity tests rely
+on. A shared matrix (stride-0 system axis) is reduced and factored once,
+at its period's width; only the right-hand sides run at full width.
 
 Three launchable kernels are exposed:
 
@@ -32,17 +34,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..algorithms.pcr import pcr_reduce_arrays
-from ..algorithms.pcr_thomas import normalize_thomas_switch
-from ..algorithms.thomas import _pivot_floor
+from ..algorithms.pcr import (
+    _Periodic,
+    _scatter_interleaved,
+    pcr_solve,
+    pcr_split,
+)
+from ..algorithms.pcr_thomas import normalize_thomas_switch, pcr_thomas_solve
+from ..algorithms.thomas import thomas_solve
 from ..gpu.cost import ComputePhase, KernelCost
 from ..gpu.memory import MemoryTraffic
 from ..systems.batched import BatchedTridiagonal
-from ..util.errors import (
-    ConfigurationError,
-    ResourceExhaustedError,
-    SingularSystemError,
-)
+from ..util.errors import ConfigurationError, ResourceExhaustedError
 from ..util.validation import check_power_of_two, ilog2, require
 from .base import (
     GLOBAL_PCR_INSTR_PER_EQ,
@@ -70,10 +73,10 @@ __all__ = [
 
 # -- interleaved numerics ----------------------------------------------------
 #
-# Arrays are (n, m) and sweeps run over axis 0. The PCR steps are the
-# shared row-major reduction with axis=0; Thomas and the gathers mirror
-# the row-major code with the axes swapped, applying the same
-# per-element arithmetic in the same order.
+# Arrays are (n, m) and sweeps run over axis 0. Every function below is
+# the row-major algorithm itself, run on the interleaved period form of
+# repro.algorithms.pcr: the same per-element arithmetic in the same
+# order, so solutions equal the row-major ones transposed, bit for bit.
 
 
 def batched_thomas_sweep(
@@ -81,68 +84,12 @@ def batched_thomas_sweep(
 ) -> np.ndarray:
     """Thomas over the interleaved axis; returns ``(n, m)`` solutions.
 
-    Mirrors :func:`repro.algorithms.thomas.thomas_solve` per element —
-    including the pivot floor and the first-offending-system report — so
-    the result equals the row-major solve's transposed bit-for-bit.
+    This is :func:`repro.algorithms.thomas.thomas_solve` on the
+    interleaved layout — including the pivot floor and the
+    first-offending-system report — so the result equals the row-major
+    solve's transposed bit-for-bit.
     """
-    a, b, c, d = batched.a, batched.b, batched.c, batched.d
-    n, m = batched.layout_shape
-    dtype = batched.dtype
-
-    cp = np.empty((n, m), dtype=dtype)
-    dp = np.empty((n, m), dtype=dtype)
-    floor = _pivot_floor(dtype)
-
-    beta = b[0, :].copy()
-    if check and (np.abs(beta) <= floor).any():
-        idx = int(np.argmax(np.abs(beta) <= floor))
-        raise SingularSystemError(
-            f"zero pivot at row 0 of system {idx}", system_index=idx
-        )
-    cp[0, :] = c[0, :] / beta
-    dp[0, :] = d[0, :] / beta
-
-    for i in range(1, n):
-        beta = b[i, :] - a[i, :] * cp[i - 1, :]
-        if check and (np.abs(beta) <= floor).any():
-            idx = int(np.argmax(np.abs(beta) <= floor))
-            raise SingularSystemError(
-                f"zero pivot at row {i} of system {idx}", system_index=idx
-            )
-        cp[i, :] = c[i, :] / beta
-        dp[i, :] = (d[i, :] - a[i, :] * dp[i - 1, :]) / beta
-
-    x = np.empty((n, m), dtype=dtype)
-    x[-1, :] = dp[-1, :]
-    for i in range(n - 2, -1, -1):
-        x[i, :] = dp[i, :] - cp[i, :] * x[i + 1, :]
-    return x
-
-
-def _batched_gather(arr: np.ndarray, k: int) -> np.ndarray:
-    """Interleaved analogue of :func:`repro.algorithms.pcr._gather`.
-
-    ``(n, m)`` → ``(n / 2^k, m * 2^k)``; subsystem ``j`` of system ``s``
-    lands in column ``s * 2^k + j`` — the same logical subsystem order
-    as the row-major gather, so solutions stay comparable element for
-    element. Pure data movement (a tiled transpose), no arithmetic.
-    """
-    n, m = arr.shape
-    groups = 1 << k
-    sub = n >> k
-    return np.ascontiguousarray(
-        arr.reshape(sub, groups, m).transpose(0, 2, 1)
-    ).reshape(sub, m * groups)
-
-
-def _batched_scatter(arr: np.ndarray, k: int) -> np.ndarray:
-    """Inverse of :func:`_batched_gather` for ``(sub, m * 2^k)`` arrays."""
-    groups = 1 << k
-    sub, mg = arr.shape
-    m = mg // groups
-    return np.ascontiguousarray(
-        arr.reshape(sub, m, groups).transpose(0, 2, 1)
-    ).reshape(sub * groups, m)
+    return thomas_solve(batched, check=check)
 
 
 def batched_pcr_split(
@@ -150,28 +97,12 @@ def batched_pcr_split(
 ) -> BatchedTridiagonal:
     """Split every system into ``2**steps`` interleaved subsystems.
 
-    Mirrors :func:`repro.algorithms.pcr.pcr_split`: ``steps`` PCR steps
-    along the equation axis, then the gather that makes each subsystem
-    a contiguous run of rows. Result shape ``(n / 2^steps, m * 2^steps)``.
+    :func:`repro.algorithms.pcr.pcr_split` on the interleaved layout:
+    ``steps`` PCR steps along the equation axis, then the gather that
+    makes each subsystem a contiguous run of rows. Result shape
+    ``(n / 2^steps, m * 2^steps)``.
     """
-    require(steps >= 0, f"steps must be >= 0, got {steps}")
-    if steps == 0:
-        return batched
-    n = batched.system_size
-    groups = 1 << steps
-    if n % groups != 0:
-        raise ConfigurationError(
-            f"system size {n} not divisible by 2**steps = {groups}"
-        )
-    a, b, c, d = pcr_reduce_arrays(
-        batched.a, batched.b, batched.c, batched.d, steps, axis=0
-    )
-    return BatchedTridiagonal(
-        _batched_gather(a, steps),
-        _batched_gather(b, steps),
-        _batched_gather(c, steps),
-        _batched_gather(d, steps),
-    )
+    return pcr_split(batched, steps)
 
 
 def batched_pcr_unsplit(x: np.ndarray, steps: int) -> np.ndarray:
@@ -179,17 +110,12 @@ def batched_pcr_unsplit(x: np.ndarray, steps: int) -> np.ndarray:
     require(steps >= 0, f"steps must be >= 0, got {steps}")
     if steps == 0:
         return x
-    return _batched_scatter(x, steps)
+    return _scatter_interleaved(x, steps)
 
 
 def batched_pcr_solve(batched: BatchedTridiagonal) -> np.ndarray:
     """Pure PCR over the interleaved axis: reduce to size-1 systems."""
-    n = batched.system_size
-    check_power_of_two(n, "system_size")
-    _, b, _, d = pcr_reduce_arrays(
-        batched.a, batched.b, batched.c, batched.d, ilog2(n), axis=0
-    )
-    return d / b
+    return pcr_solve(batched)
 
 
 def batched_pcr_thomas_sweep(
@@ -200,16 +126,10 @@ def batched_pcr_thomas_sweep(
 ) -> np.ndarray:
     """Hybrid PCR-Thomas over the interleaved axis; ``(n, m)`` result.
 
-    Mirrors :func:`repro.algorithms.pcr_thomas.pcr_thomas_solve`.
+    :func:`repro.algorithms.pcr_thomas.pcr_thomas_solve` on the
+    interleaved layout.
     """
-    n = batched.system_size
-    if n == 1:
-        return batched.d / batched.b
-    switch = normalize_thomas_switch(n, thomas_switch)
-    steps = ilog2(switch)
-    split = batched_pcr_split(batched, steps)
-    x_split = batched_thomas_sweep(split, check=check)
-    return batched_pcr_unsplit(x_split, steps)
+    return pcr_thomas_solve(batched, thomas_switch, check=check)
 
 
 def batched_staged_sweep(
@@ -226,12 +146,13 @@ def batched_staged_sweep(
     ``SplitBlock(k2)`` → ``OnChipSolve`` → ``Unsplit(k2)`` →
     ``Unsplit(k1)`` — stage by stage in the interleaved layout (the two
     split stages stay separate passes because nested splits order
-    subsystems differently from a single combined split). Returns the
-    ``(n, m)`` solution, bit-identical to the row-major chain transposed.
+    subsystems differently from a single combined split). A shared
+    matrix stays in period form throughout. Returns the ``(n, m)``
+    solution, bit-identical to the row-major chain transposed.
     """
-    work = batched_pcr_split(batched, stage1_steps)
-    work = batched_pcr_split(work, stage2_steps)
-    x = batched_pcr_thomas_sweep(work, thomas_switch, check=check)
+    work = pcr_split(_Periodic.of(batched), stage1_steps)
+    work = pcr_split(work, stage2_steps)
+    x = pcr_thomas_solve(work, thomas_switch, check=check)
     x = batched_pcr_unsplit(x, stage2_steps)
     return batched_pcr_unsplit(x, stage1_steps)
 

@@ -24,7 +24,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..algorithms.padding import pad_pow2, unpad_solution
-from ..algorithms.pcr import pcr_unsplit_solution
+from ..algorithms.pcr import _Periodic, pcr_unsplit_solution
 from ..ir.instructions import (
     Barrier,
     BatchedSolve,
@@ -39,7 +39,6 @@ from ..ir.instructions import (
     Unpad,
     Unsplit,
 )
-from ..systems.batched import BatchedTridiagonal
 from ..systems.tridiagonal import TridiagonalBatch
 from ..util.errors import PlanError
 from .base import KernelContext
@@ -116,20 +115,23 @@ def price_costs(step: Step, ctx: KernelContext, dtype_size: int) -> List:
 class ExecState:
     """Mutable data threaded through a solve-program execution.
 
-    ``work`` is row-major (:class:`TridiagonalBatch`) in the classic
-    chain; between an ``Interleave("in")`` and the matching
-    ``Interleave("out")`` of a fused program it is the interleaved
-    :class:`BatchedTridiagonal` and ``x`` is ``(n, m)``.
+    ``work`` is the batch in the period form of
+    :mod:`repro.algorithms.pcr`: the matrix once per period, ``d`` at
+    full width. A shared-matrix batch enters with period 1 and every
+    split multiplies the period, so the matrix is never tiled out per
+    system. It is row-major in the classic chain; between an
+    ``Interleave("in")`` and the matching ``Interleave("out")`` of a
+    fused program it is interleaved and ``x`` is ``(n, m)``.
     """
 
-    work: TridiagonalBatch  # the (progressively split) coefficient batch
+    work: _Periodic  # the (progressively split) coefficient batch
     x: Optional[np.ndarray] = None  # solution, once the on-chip solve ran
     original_n: int = 0  # pre-padding system size, for Unpad
 
     @classmethod
     def for_batch(cls, batch: TridiagonalBatch) -> "ExecState":
         """Initial state: the raw batch, no solution yet."""
-        return cls(work=batch, original_n=batch.system_size)
+        return cls(work=_Periodic.of(batch), original_n=batch.system_size)
 
 
 def execute_step(step: Step, ctx: KernelContext, state: ExecState) -> None:
@@ -172,7 +174,7 @@ def execute_step(step: Step, ctx: KernelContext, state: ExecState) -> None:
                 ctx, m * n, state.work.dtype.itemsize, arrays=4, tiled=True
             )
             ctx.session.submit(cost, stage=step.stage)
-            state.work = BatchedTridiagonal.interleave(state.work)
+            state.work = state.work.interleaved()
         else:
             cost = TransposeKernel().cost(
                 ctx, m * n, state.x.dtype.itemsize, arrays=1, tiled=True

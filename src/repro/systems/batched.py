@@ -14,7 +14,8 @@ every sweep over the equation axis is a fully coalesced pass over the
 system axis. ``interleave``/``deinterleave`` convert between the two
 layouts and round-trip bit-exactly; since both layouts hold the same
 floats per logical element, every elementwise algorithm produces
-bit-identical values in either layout.
+bit-identical values in either layout. A shared matrix (stride-0
+system axis) stays a broadcast view through both conversions.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from ..util.errors import ShapeError
 from ..util.validation import check_dtype, check_same_shape
-from .tridiagonal import TridiagonalBatch
+from .tridiagonal import TridiagonalBatch, _normalise
 
 __all__ = ["BatchedTridiagonal", "interleave", "deinterleave"]
 
@@ -65,16 +66,9 @@ class BatchedTridiagonal:
                 )
         if arrays["b"].shape[0] < 1:
             raise ShapeError("systems must have at least one equation")
-        a, c = arrays["a"], arrays["c"]
-        if a[0, :].any():
-            a = a.copy()
-            a[0, :] = 0
-        if c[-1, :].any():
-            c = c.copy()
-            c[-1, :] = 0
-        arrays["a"], arrays["c"] = a, c
-        for name, arr in arrays.items():
-            object.__setattr__(self, name, np.ascontiguousarray(arr))
+        normalised = _normalise(*(arrays[name] for name in "abcd"), 1)
+        for name, arr in zip("abcd", normalised):
+            object.__setattr__(self, name, arr)
 
     # -- shape ------------------------------------------------------------
 
@@ -118,12 +112,7 @@ class BatchedTridiagonal:
     @classmethod
     def interleave(cls, batch: TridiagonalBatch) -> "BatchedTridiagonal":
         """Transpose a row-major batch into the interleaved layout."""
-        return cls(
-            np.ascontiguousarray(batch.a.T),
-            np.ascontiguousarray(batch.b.T),
-            np.ascontiguousarray(batch.c.T),
-            np.ascontiguousarray(batch.d.T),
-        )
+        return cls(batch.a.T, batch.b.T, batch.c.T, batch.d.T)
 
     @classmethod
     def interleave_all(
@@ -151,12 +140,7 @@ class BatchedTridiagonal:
 
     def deinterleave(self) -> TridiagonalBatch:
         """Transpose back to the row-major :class:`TridiagonalBatch`."""
-        return TridiagonalBatch(
-            np.ascontiguousarray(self.a.T),
-            np.ascontiguousarray(self.b.T),
-            np.ascontiguousarray(self.c.T),
-            np.ascontiguousarray(self.d.T),
-        )
+        return TridiagonalBatch(self.a.T, self.b.T, self.c.T, self.d.T)
 
     def __len__(self) -> int:
         return self.num_systems

@@ -16,6 +16,15 @@ Row ``i`` of the system reads ``a[i] * x[i-1] + b[i] * x[i] + c[i] * x[i+1]
 solver in this library: the paper's workloads ("1K×1K", "1×2M", ...) map
 directly onto batch shapes, and vectorised NumPy kernels operate on whole
 batches at once.
+
+One matrix, many right-hand sides: when ``a``, ``b`` and ``c`` all have a
+stride-0 system axis — ``np.broadcast_to`` of one ``(1, n)`` row, as ADI
+sweeps and SPIKE's three right-hand sides build them — the batch is a
+*shared-matrix* batch. The shape is the signal; there is no flag. The
+batch keeps those views (corner normalisation happens on the one row),
+``nbytes`` stays the logical size, and the solvers reduce the matrix
+once instead of once per system while producing the same bits as the
+tiled batch.
 """
 
 from __future__ import annotations
@@ -29,6 +38,42 @@ from ..util.errors import ShapeError
 from ..util.validation import check_dtype, check_same_shape
 
 __all__ = ["TridiagonalSystem", "TridiagonalBatch"]
+
+
+def _shares_matrix(arrays, axis: int) -> bool:
+    """True when every array repeats one slice along the system ``axis``.
+
+    That is a stride-0 axis of length > 1: ``np.broadcast_to`` of one
+    ``(1, n)`` row (row-major) or ``(n, 1)`` column (interleaved).
+    """
+    return all(arr.shape[axis] > 1 and arr.strides[axis] == 0 for arr in arrays)
+
+
+def _normalise(a, b, c, d, axis: int):
+    """Zero the unused corners and make the arrays contiguous.
+
+    ``axis`` is the system axis (0 row-major, 1 interleaved). A shared
+    matrix stays a broadcast: its corners are zeroed on the one slice it
+    repeats. Copies only when needed.
+    """
+    shared = _shares_matrix((a, b, c), axis)
+    if shared:
+        one = (slice(None),) * axis + (slice(0, 1),)
+        a, b, c = a[one], b[one], c[one]
+    first = (slice(None),) * (1 - axis) + (0,)
+    last = (slice(None),) * (1 - axis) + (-1,)
+    if a[first].any():
+        a = a.copy()
+        a[first] = 0
+    if c[last].any():
+        c = c.copy()
+        c[last] = 0
+    a, b, c = (
+        np.broadcast_to(np.ascontiguousarray(x), d.shape) if shared
+        else np.ascontiguousarray(x)
+        for x in (a, b, c)
+    )
+    return a, b, c, np.ascontiguousarray(d)
 
 
 def _as_2d(arr: np.ndarray, name: str) -> np.ndarray:
@@ -68,17 +113,8 @@ class TridiagonalBatch:
                 )
         if b.shape[1] < 1:
             raise ShapeError("systems must have at least one equation")
-        # Normalise the unused corners. Copy only when needed.
-        if a[:, 0].any():
-            a = a.copy()
-            a[:, 0] = 0
-        if c.shape[1] > 0 and c[:, -1].any():
-            c = c.copy()
-            c[:, -1] = 0
-        object.__setattr__(self, "a", np.ascontiguousarray(a))
-        object.__setattr__(self, "b", np.ascontiguousarray(b))
-        object.__setattr__(self, "c", np.ascontiguousarray(c))
-        object.__setattr__(self, "d", np.ascontiguousarray(d))
+        for name, arr in zip("abcd", _normalise(a, b, c, d, 0)):
+            object.__setattr__(self, name, arr)
 
     # -- shape ------------------------------------------------------------
 
@@ -109,7 +145,11 @@ class TridiagonalBatch:
 
     @property
     def nbytes(self) -> int:
-        """Total bytes of the four coefficient arrays."""
+        """Total logical bytes of the four coefficient arrays.
+
+        A shared matrix counts at full ``(m, n)`` size, so device-fit
+        checks and pricing see the same batch either way.
+        """
         return self.a.nbytes + self.b.nbytes + self.c.nbytes + self.d.nbytes
 
     # -- construction helpers ---------------------------------------------
