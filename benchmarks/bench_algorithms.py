@@ -12,15 +12,13 @@ from _results import write_results
 from repro.algorithms import (
     cr_pcr_solve,
     cr_solve,
-    lu_factor,
+    factorize,
     lu_solve,
-    lu_solve_factored,
     pcr_solve,
     pcr_split,
     pcr_thomas_solve,
     recursive_doubling_solve,
     thomas_solve,
-    thomas_workspace_solve,
 )
 from repro.systems import generators
 
@@ -34,13 +32,6 @@ def batch():
 
 def test_thomas(benchmark, batch):
     benchmark(thomas_solve, batch)
-
-
-def test_thomas_workspace(benchmark, batch):
-    cp = np.empty(batch.shape)
-    dp = np.empty(batch.shape)
-    x = np.empty(batch.shape)
-    benchmark(thomas_workspace_solve, batch, cp, dp, x)
 
 
 def test_cr(benchmark, batch):
@@ -68,9 +59,9 @@ def test_lu(benchmark, batch):
     benchmark(lu_solve, batch)
 
 
-def test_lu_resolve_with_cached_factors(benchmark, batch):
-    factors = lu_factor(batch)
-    benchmark(lu_solve_factored, factors, batch.d)
+def test_factorized_resolve(benchmark, batch):
+    factors = factorize(batch)
+    benchmark(factors.solve, batch.d)
 
 
 def test_pcr_split_primitive(benchmark, batch):
@@ -95,7 +86,6 @@ def test_many_small_systems_interleaved_sweep(benchmark, emit, results_dir):
     from repro.core.tuning import make_tuner
     from repro.gpu import make_device
     from repro.ir import Engine, concat_solve_programs, lower_solve_plan
-    from repro.kernels import batched_thomas_sweep
     from repro.systems import BatchedTridiagonal
     from repro.systems.tridiagonal import TridiagonalBatch
 
@@ -118,12 +108,12 @@ def test_many_small_systems_interleaved_sweep(benchmark, emit, results_dir):
         )
 
     interleaved = BatchedTridiagonal.interleave(batch)
-    sweep = benchmark(batched_thomas_sweep, interleaved)
+    sweep = benchmark(thomas_solve, interleaved)
     t0 = time.perf_counter()
     loop_x = per_system_loop()
     loop_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    sweep_x = batched_thomas_sweep(interleaved)
+    sweep_x = thomas_solve(interleaved)
     sweep_s = time.perf_counter() - t0
     np.testing.assert_array_equal(loop_x, np.ascontiguousarray(sweep_x.T))
     np.testing.assert_array_equal(sweep, sweep_x)

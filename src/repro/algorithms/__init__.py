@@ -6,7 +6,7 @@ from .factorized import PcrThomasFactorization, factorize
 from .refinement import RefinementResult, mixed_precision_solve
 from .spike import spike_solve, truncated_spike_solve
 from .cr_pcr import cr_pcr_solve
-from .lu import TridiagonalLU, lu_factor, lu_solve, lu_solve_factored, scipy_banded_solve
+from .lu import lu_solve, scipy_banded_solve
 from .padding import pad_pow2, unpad_solution
 from .pcr import (
     pcr_reduce,
@@ -19,7 +19,7 @@ from .pcr import (
 from .pcr_thomas import normalize_thomas_switch, pcr_thomas_solve
 from .recursive_doubling import recursive_doubling_solve
 from .registry import ALGORITHMS, AlgorithmInfo, algorithm_names, get_algorithm, solve_with
-from .thomas import thomas_solve, thomas_workspace_solve
+from .thomas import thomas_solve
 from .verify import assert_solution, default_tolerance, max_residual
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "spike_solve",
     "truncated_spike_solve",
     "thomas_solve",
-    "thomas_workspace_solve",
     "cr_solve",
     "cr_forward_levels",
     "pcr_step",
@@ -45,11 +44,8 @@ __all__ = [
     "normalize_thomas_switch",
     "cr_pcr_solve",
     "recursive_doubling_solve",
-    "lu_factor",
     "lu_solve",
-    "lu_solve_factored",
     "scipy_banded_solve",
-    "TridiagonalLU",
     "pad_pow2",
     "unpad_solution",
     "assert_solution",

@@ -1,14 +1,19 @@
 """Reusable factorization of the PCR-Thomas pipeline.
 
-Applications like ADI time-stepping solve against the *same* tridiagonal
-matrix every step with a fresh right-hand side. The PCR splitting
-coefficients (``alpha``, ``gamma`` per step) and the split subsystems' LU
-factors depend only on the matrix, so they can be computed once:
-subsequent solves only transform the RHS — about a third of the
-arithmetic and half the memory traffic of a full solve.
+Applications like ADI and Black-Scholes time-stepping solve against the
+*same* tridiagonal matrix every step with a fresh right-hand side. The
+hybrid solve's matrix-only work — each split step's ``(alpha, gamma)``
+multipliers and the split subsystems' Thomas ``cp`` and pivots ``β`` —
+can be done once. :func:`factorize` runs the hybrid's own reduction and
+Thomas sweep on the matrix and records that state;
+:meth:`PcrThomasFactorization.solve` then replays only the right-hand
+side's share of the same arithmetic, so its answer is bit-identical to
+``pcr_thomas_solve(batch.with_rhs(d), 2**split_depth)``.
 
-:class:`PcrThomasFactorization` captures that state for any split depth;
-:func:`factorize` builds it from a batch.
+The factors live in the period form of :mod:`repro.algorithms.pcr`: a
+shared-matrix batch (``a``/``b``/``c`` broadcast from one row) is
+factored once, and every stored factor has the width of that one
+matrix, however many right-hand sides it later solves.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ import numpy as np
 from ..systems.tridiagonal import TridiagonalBatch
 from ..util.errors import ShapeError
 from ..util.validation import check_power_of_two, ilog2
-from .lu import TridiagonalLU, lu_factor, lu_solve_factored
-from .pcr import _couple, _gather, _scatter, pcr_reduce_arrays
+from .pcr import _couple, _gather, _Periodic, _scatter, pcr_reduce_arrays
+from .thomas import _rows, _thomas, _thomas_factored
 
 __all__ = ["PcrThomasFactorization", "factorize"]
 
@@ -31,70 +36,65 @@ __all__ = ["PcrThomasFactorization", "factorize"]
 class PcrThomasFactorization:
     """Matrix-only state of the hybrid solve.
 
-    ``steps`` holds, per PCR level, the ``(alpha, gamma)`` elimination
-    coefficients at that level's stride; ``lu`` factors the ``2^k``-way
-    split subsystems. ``solve`` applies them to any right-hand side.
+    ``steps`` holds, per PCR level, the ``(alpha, gamma)`` multipliers,
+    each ``(1, P, n)`` for a matrix of period ``P`` (1 shared, else
+    ``m``). ``a``, ``cp`` and ``beta`` are the ``2^k``-way split
+    subsystems' sub-diagonal, modified super-diagonal and Thomas pivots,
+    equation-major ``(n / 2^k, P * 2^k)``. ``solve`` applies them to any
+    right-hand side.
     """
 
     shape: Tuple[int, int]
     split_depth: int
     steps: List[Tuple[np.ndarray, np.ndarray]]
-    lu: TridiagonalLU
+    a: np.ndarray
+    cp: np.ndarray
+    beta: np.ndarray
 
-    def _apply_steps(self, d: np.ndarray) -> np.ndarray:
-        """Run the PCR levels' RHS update on ``d`` (``(..., m, n)``).
-
-        Each level is ``(d + alpha * d_lo) + gamma * d_hi``, the same
-        pad-free update the reduction applies to its own ``d``.
-        """
-        if not self.steps:
-            return d
-        dtype = np.result_type(d, self.steps[0][0])
-        bufs = [np.empty(d.shape, dtype) for _ in range(3)]
-        stride = 1
-        for j, (alpha, gamma) in enumerate(self.steps):
-            out = bufs[j % 2]
-            _couple(out, d, alpha, d, gamma, d, stride, -1, bufs[2])
-            d = out
-            stride *= 2
-        return d
+    def _solve(self, d: np.ndarray) -> np.ndarray:
+        """Solve ``(rows, n)`` right-hand sides; ``rows`` is a multiple of
+        the matrix period, and row ``r`` uses matrix row ``r mod P``."""
+        k = self.split_depth
+        n = self.shape[1]
+        p = self.beta.shape[1] >> k
+        d = d.reshape(-1, p, n)
+        if self.steps:
+            bufs = [np.empty(d.shape, d.dtype) for _ in range(3)]
+            stride = 1
+            for j, (alpha, gamma) in enumerate(self.steps):
+                # The reduction's own RHS update at this level:
+                # (d + alpha * d_lo) + gamma * d_hi.
+                out = bufs[j % 2]
+                _couple(out, d, alpha, d, gamma, d, stride, 2, bufs[2])
+                d = out
+                stride *= 2
+            d = _gather(d.reshape(-1, n), k).reshape(-1, p << k, n >> k)
+        x = _thomas_factored(d, 2, self.a, self.cp, self.beta)
+        return _scatter(x, k) if k else np.ascontiguousarray(x)
 
     def solve(self, d: np.ndarray) -> np.ndarray:
         """Solve ``A x = d`` for a new RHS using the cached factors."""
-        d = np.asarray(d)
+        d = np.asarray(d, dtype=self.beta.dtype)
         if d.shape != self.shape:
             raise ShapeError(f"d has shape {d.shape}, expected {self.shape}")
-        d = self._apply_steps(d)
-        d_split = _gather(d, self.split_depth) if self.split_depth else d
-        x = lu_solve_factored(self.lu, d_split)
-        return _scatter(x, self.split_depth) if self.split_depth else x
+        return self._solve(d)
 
     def solve_many(self, d_stack: np.ndarray) -> np.ndarray:
         """Solve against a stack of right-hand sides, shape ``(r, m, n)``.
 
-        All ``r`` RHS sets go through the factor application in one
-        batched pass (the multiple-RHS pattern of ADI and pricing codes).
+        The stack is one period-form batch of ``r * m`` right-hand sides
+        against the stored factors (the multiple-RHS pattern of ADI and
+        pricing codes); each slice equals :meth:`solve` on it, bit for
+        bit.
         """
-        d_stack = np.asarray(d_stack)
+        d_stack = np.asarray(d_stack, dtype=self.beta.dtype)
         if d_stack.ndim != 3 or d_stack.shape[1:] != self.shape:
             raise ShapeError(
                 f"d_stack must be (r, {self.shape[0]}, {self.shape[1]}), "
                 f"got {d_stack.shape}"
             )
-        r = d_stack.shape[0]
-        # The step coefficients broadcast across the stacked systems.
-        flat = self._apply_steps(d_stack).reshape(
-            r * self.shape[0], self.shape[1]
-        )
-        d_split = _gather(flat, self.split_depth) if self.split_depth else flat
-        lu_tiled = TridiagonalLU(
-            l=np.tile(self.lu.l, (r, 1)),
-            u=np.tile(self.lu.u, (r, 1)),
-            c=np.tile(self.lu.c, (r, 1)),
-        )
-        x = lu_solve_factored(lu_tiled, d_split)
-        x = _scatter(x, self.split_depth) if self.split_depth else x
-        return x.reshape(r, self.shape[0], self.shape[1])
+        x = self._solve(d_stack.reshape(-1, self.shape[1]))
+        return x.reshape(d_stack.shape)
 
 
 def factorize(
@@ -104,8 +104,12 @@ def factorize(
 
     ``split_depth`` is the number of PCR levels before the Thomas phase
     (default: ``log2(thomas default 64)`` capped by the system size).
-    The RHS stored in ``batch`` is ignored.
+    The RHS stored in ``batch`` is ignored. A vanishing pivot raises the
+    :class:`~repro.util.errors.SingularSystemError` that
+    :func:`~repro.algorithms.pcr_thomas_solve` raises at the same split.
     """
+    if not isinstance(batch, TridiagonalBatch):
+        raise ShapeError(f"factorize takes a TridiagonalBatch, got {type(batch).__name__}")
     n = batch.system_size
     check_power_of_two(n, "system_size")
     if split_depth is None:
@@ -115,19 +119,26 @@ def factorize(
             f"split_depth {split_depth} invalid for system size {n}"
         )
 
+    work = _Periodic.of(batch)
     steps: List[Tuple[np.ndarray, np.ndarray]] = []
-    a, b, c, d = pcr_reduce_arrays(
-        batch.a,
-        batch.b,
-        batch.c,
-        np.zeros_like(batch.b),
+    reduced = pcr_reduce_arrays(
+        work.a,
+        work.b,
+        work.c,
+        np.zeros_like(work.b),
         split_depth,
-        axis=1,
+        axis=2,
         multipliers=steps,
     )
-
-    split = TridiagonalBatch(*(_gather(x, split_depth) for x in (a, b, c, d)))
-    lu = lu_factor(split)
+    split = _Periodic(*reduced, axis=2).gathered(split_depth)
+    (a,) = _rows((split.a,), split.axis)
+    cp, beta = (np.empty(a.shape, a.dtype) for _ in range(2))
+    _thomas(split, True, (cp, beta))
     return PcrThomasFactorization(
-        shape=batch.shape, split_depth=split_depth, steps=steps, lu=lu
+        shape=batch.shape,
+        split_depth=split_depth,
+        steps=steps,
+        a=np.ascontiguousarray(a),
+        cp=cp,
+        beta=beta,
     )

@@ -3,88 +3,53 @@
 The paper's CPU comparator (Figure 8) is Intel MKL's tridiagonal solver,
 "a sequential LU decomposition algorithm". This module provides:
 
-- :func:`lu_factor` / :func:`lu_solve_factored` — an explicit tridiagonal
-  LU factorisation reusable across right-hand sides (the pattern ADI codes
-  rely on when the matrix is constant over time steps);
-- :func:`lu_solve` — factor-and-solve in one call (equivalent to Thomas
-  but retaining the factors);
-- :func:`scipy_banded_solve` — an independent oracle built on
-  ``scipy.linalg.solve_banded`` (LAPACK ``gtsv``-class, with partial
-  pivoting) used by the test suite to validate every other algorithm.
+- :func:`lu_solve` — tridiagonal LU without pivoting, factor and solve in
+  one call (the registry's ``"lu"`` entry);
+- :func:`scipy_banded_solve` — an independent oracle: one LAPACK
+  ``gtsv`` call (partial pivoting) over the whole batch, used by the test
+  suite to validate every other algorithm.
+
+Repeated solves against one matrix reuse
+:func:`~repro.algorithms.factorize`, the hybrid's own factorization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 from ..systems.tridiagonal import TridiagonalBatch
 from ..util.errors import SingularSystemError
+from ..util.validation import _check_finite
+from .thomas import _pivot_floor, _singular
 
-__all__ = ["TridiagonalLU", "lu_factor", "lu_solve_factored", "lu_solve", "scipy_banded_solve"]
-
-
-@dataclass(frozen=True)
-class TridiagonalLU:
-    """LU factors of a tridiagonal batch: ``A = L U``.
-
-    ``L`` is unit lower bidiagonal with sub-diagonal ``l``; ``U`` is upper
-    bidiagonal with diagonal ``u`` and super-diagonal ``c`` (unchanged from
-    ``A``).
-    """
-
-    l: np.ndarray
-    u: np.ndarray
-    c: np.ndarray
-
-    @property
-    def shape(self):
-        """``(m, n)`` of the factored batch."""
-        return self.u.shape
+__all__ = ["lu_solve", "scipy_banded_solve"]
 
 
-def lu_factor(batch: TridiagonalBatch, *, check: bool = True) -> TridiagonalLU:
-    """Factor every system as ``L U`` (no pivoting).
+def lu_solve(batch: TridiagonalBatch, *, check: bool = True) -> np.ndarray:
+    """Factor every system as ``L U`` (no pivoting) and solve.
 
+    ``L`` is unit lower bidiagonal with sub-diagonal ``l``; ``U`` is
+    upper bidiagonal with diagonal ``u`` and super-diagonal ``c``.
     Raises :class:`SingularSystemError` on a vanishing pivot when
     ``check`` is true.
     """
-    a, b, c = batch.a, batch.b, batch.c
+    a, b, c, d = batch.a, batch.b, batch.c, batch.d
     m, n = batch.shape
-    dtype = batch.dtype
-    info = np.finfo(dtype)
-    floor = float(info.tiny / info.eps)
+    floor = _pivot_floor(batch.dtype)
 
-    l = np.zeros((m, n), dtype=dtype)
-    u = np.empty((m, n), dtype=dtype)
+    l = np.zeros((m, n), dtype=batch.dtype)
+    u = np.empty((m, n), dtype=batch.dtype)
     u[:, 0] = b[:, 0]
     for i in range(1, n):
         piv = u[:, i - 1]
         if check and (np.abs(piv) <= floor).any():
-            idx = int(np.argmax(np.abs(piv) <= floor))
-            raise SingularSystemError(
-                f"zero pivot at row {i - 1} of system {idx}", system_index=idx
-            )
+            raise _singular(piv, floor, i - 1)
         l[:, i] = a[:, i] / piv
         u[:, i] = b[:, i] - l[:, i] * c[:, i - 1]
     if check and (np.abs(u[:, -1]) <= floor).any():
-        idx = int(np.argmax(np.abs(u[:, -1]) <= floor))
-        raise SingularSystemError(
-            f"zero pivot at row {n - 1} of system {idx}", system_index=idx
-        )
-    return TridiagonalLU(l=l, u=u, c=c.copy())
+        raise _singular(u[:, -1], floor, n - 1)
 
-
-def lu_solve_factored(factors: TridiagonalLU, d: np.ndarray) -> np.ndarray:
-    """Solve ``L U x = d`` given precomputed factors.
-
-    ``d`` is ``(m, n)`` matching the factored batch; the factors are reused
-    unchanged, which is the whole point of keeping them.
-    """
-    l, u, c = factors.l, factors.u, factors.c
-    m, n = u.shape
     y = np.empty_like(d)
     y[:, 0] = d[:, 0]
     for i in range(1, n):
@@ -96,31 +61,40 @@ def lu_solve_factored(factors: TridiagonalLU, d: np.ndarray) -> np.ndarray:
     return x
 
 
-def lu_solve(batch: TridiagonalBatch, *, check: bool = True) -> np.ndarray:
-    """Factor and solve in one call."""
-    return lu_solve_factored(lu_factor(batch, check=check), batch.d)
-
-
 def scipy_banded_solve(batch: TridiagonalBatch) -> np.ndarray:
-    """Oracle solve via ``scipy.linalg.solve_banded`` (partial pivoting).
+    """Oracle solve: one LAPACK ``gtsv`` call (partial pivoting).
 
-    Loops over systems (LAPACK is per-matrix); intended for validation,
-    not performance. Raises the library's typed
-    :class:`SingularSystemError` (not scipy's ``LinAlgError``) when a
-    system has no solution, so callers — the escalation ladder
-    included — never see an untyped failure.
+    The ``m`` systems are laid end to end as one ``m * n`` system. The
+    off-diagonals are zero at every boundary (``a[:, 0]`` and
+    ``c[:, -1]``), so no elimination or row interchange crosses one and
+    every system's answer is the one its own ``gtsv`` call gives, bit
+    for bit — except the sign of a zero: next to a boundary, ``y - 0 *
+    x`` turns a ``-0.0`` into ``+0.0`` when ``x`` is negative.
+    Failures are the library's typed errors, never scipy's or LAPACK's:
+    a NaN or Inf raises :class:`~repro.util.errors.InvalidSystemError`,
+    and a system with no solution raises :class:`SingularSystemError`,
+    each with the offending ``system_index`` — so callers, the
+    escalation ladder included, never see an untyped failure.
     """
+    _check_finite(batch, "scipy_banded_solve")
     m, n = batch.shape
-    x = np.empty((m, n), dtype=batch.dtype)
-    ab = np.zeros((3, n), dtype=batch.dtype)
-    for i in range(m):
-        ab[0, 1:] = batch.c[i, :-1]
-        ab[1, :] = batch.b[i]
-        ab[2, :-1] = batch.a[i, 1:]
-        try:
-            x[i] = solve_banded((1, 1), ab, batch.d[i])
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(
-                f"system {i} is singular: {exc}", system_index=i
-            ) from exc
-    return x
+    size = m * n
+    # dl/d/du share one scratch array that gtsv overwrites; x overwrites
+    # a copy of d. The wrapper wants at least one off-diagonal slot.
+    work = np.empty((3, size), dtype=batch.dtype)
+    for row, arr in zip(work, (batch.a, batch.b, batch.c)):
+        row.reshape(m, n)[...] = arr
+    span = max(size - 1, 1)
+    x = np.array(batch.d, dtype=batch.dtype).reshape(size, 1)
+    gtsv = lapack.get_lapack_funcs("gtsv", dtype=batch.dtype)
+    _, _, _, x, info = gtsv(
+        work[0, size - span :], work[1], work[2, :span], x, True, True, True, True
+    )
+    if info > 0:
+        index = (info - 1) // n
+        raise SingularSystemError(
+            f"system {index} is singular (zero pivot at row "
+            f"{(info - 1) % n})",
+            system_index=index,
+        )
+    return x.reshape(m, n)

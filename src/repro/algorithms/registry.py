@@ -106,7 +106,7 @@ ALGORITHMS: Dict[str, AlgorithmInfo] = {
             pow2_only=False,
             work="O(n)",
             steps="O(n)",
-            description="Explicit tridiagonal LU with reusable factors (MKL-style).",
+            description="Explicit tridiagonal LU (MKL-style).",
         ),
         AlgorithmInfo(
             "scipy_banded",

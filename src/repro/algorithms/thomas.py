@@ -15,6 +15,11 @@ shared-matrix batch — and only ``dp`` and ``x`` run at full width. Every
 step still divides by ``β`` (never multiplies by ``1/β``), so the result
 is bit-identical to the tiled batch's.
 
+The one-shot sweep is one fused forward loop. It can also record ``cp``
+and ``β`` as it goes; :func:`repro.algorithms.factorize` keeps them and
+later right-hand sides rerun only the ``dp`` update
+(:func:`_thomas_factored`) and the shared back-substitution.
+
 Stability: unconditionally stable for diagonally dominant or symmetric
 positive-definite systems; may break down (zero pivot) otherwise, which is
 reported via :class:`~repro.util.errors.SingularSystemError`.
@@ -24,11 +29,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..systems.tridiagonal import TridiagonalBatch
 from ..util.errors import SingularSystemError
 from .pcr import Batch, _Periodic
 
-__all__ = ["thomas_solve", "thomas_workspace_solve"]
+__all__ = ["thomas_solve"]
 
 
 def _pivot_floor(dtype: np.dtype) -> float:
@@ -65,26 +69,56 @@ def thomas_solve(batch: Batch, *, check: bool = True) -> np.ndarray:
     return np.ascontiguousarray(_thomas(_Periodic.of(batch), check))
 
 
-def _thomas(work: _Periodic, check: bool) -> np.ndarray:
-    """:func:`thomas_solve` on a period form; the solution in the form's
-    2-D layout, possibly as a non-contiguous view."""
-    # Equation-major (n, q, P) views: row i is equation i of every
-    # system. The matrix's q = 1 axis is dropped so its rows are (P,);
-    # so is d's when q = 1.
-    a, b, c, d = work.a, work.b, work.c, work.d
-    if work.axis:
-        a, b, c, d = (x.transpose(2, 0, 1) for x in (a, b, c, d))
-    shape = d.shape
-    a, b, c, d = (
+def _rows(arrays, axis: int) -> list:
+    """Equation-major views of period-form ``arrays``.
+
+    Row ``i`` of each view is equation ``i`` of every system: ``(n, q,
+    P)``, with the ``q = 1`` axis dropped (always for the matrix, for
+    ``d`` when ``q = 1``) so those rows are ``(P,)``.
+    """
+    if axis:
+        arrays = [x.transpose(2, 0, 1) for x in arrays]
+    return [
         x.reshape(x.shape[0], x.shape[2]) if x.shape[1] == 1 else x
-        for x in (a, b, c, d)
-    )
+        for x in arrays
+    ]
+
+
+def _back(cp: np.ndarray, dp: np.ndarray, d: np.ndarray, axis: int) -> np.ndarray:
+    """Back-substitution ``x[i] = dp[i] - cp[i] * x[i + 1]``.
+
+    Returns the solution in the 2-D layout of the period-form ``d`` it
+    solves — ``(m, n)`` row-major, ``(n, m)`` interleaved — possibly as
+    a non-contiguous view.
+    """
+    x = np.empty(dp.shape, dtype=dp.dtype)
+    x[-1] = dp[-1]
+    for i in range(dp.shape[0] - 2, -1, -1):
+        x[i] = dp[i] - cp[i] * x[i + 1]
+    if not axis:
+        return x.reshape(x.shape[0], -1)
+    q, p, n = d.shape
+    return x.reshape(n, q, p).transpose(1, 2, 0).reshape(-1, n)
+
+
+def _thomas(work: _Periodic, check: bool, factors=None) -> np.ndarray:
+    """:func:`thomas_solve` on a period form; the solution in the form's
+    2-D layout, possibly as a non-contiguous view.
+
+    ``factors``, if given, is a pair of equation-major arrays at the
+    matrix's width that receive the modified super-diagonal ``cp`` and
+    the pivots ``β`` (what :func:`_thomas_factored` reuses).
+    """
+    a, b, c, d = _rows((work.a, work.b, work.c, work.d), work.axis)
     n = work.system_size
     dtype = work.dtype
 
     # Scratch: modified super-diagonal (matrix width) and RHS (full width)
     # of the forward sweep.
-    cp = np.empty(b.shape, dtype=dtype)
+    if factors is None:
+        cp, pivots = np.empty(b.shape, dtype=dtype), None
+    else:
+        cp, pivots = factors
     dp = np.empty(d.shape, dtype=dtype)
     floor = _pivot_floor(dtype)
 
@@ -93,6 +127,8 @@ def _thomas(work: _Periodic, check: bool) -> np.ndarray:
         raise _singular(beta, floor, 0)
     cp[0] = c[0] / beta
     dp[0] = d[0] / beta
+    if pivots is not None:
+        pivots[0] = beta
 
     for i in range(1, n):
         beta = b[i] - a[i] * cp[i - 1]
@@ -100,39 +136,27 @@ def _thomas(work: _Periodic, check: bool) -> np.ndarray:
             raise _singular(beta, floor, i)
         cp[i] = c[i] / beta
         dp[i] = (d[i] - a[i] * dp[i - 1]) / beta
+        if pivots is not None:
+            pivots[i] = beta
 
-    x = np.empty(d.shape, dtype=dtype)
-    x[-1] = dp[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    x = x.reshape(shape)
-    return work.flat(x.transpose(1, 2, 0) if work.axis else x)
+    return _back(cp, dp, work.d, work.axis)
 
 
-def thomas_workspace_solve(
-    batch: TridiagonalBatch,
-    cp: np.ndarray,
-    dp: np.ndarray,
-    x: np.ndarray,
+def _thomas_factored(
+    d: np.ndarray, axis: int, a: np.ndarray, cp: np.ndarray, beta: np.ndarray
 ) -> np.ndarray:
-    """Allocation-free Thomas for hot benchmark loops.
+    """:func:`_thomas` for a matrix whose ``cp`` and ``β`` a recording
+    sweep stored: only the ``dp`` update and the back-substitution run.
 
-    ``cp``, ``dp`` and ``x`` must be caller-owned ``(m, n)`` arrays of the
-    batch dtype; they are overwritten. No singularity checks are performed.
-    Returns ``x``.
+    ``d`` is a period-form right-hand side with equation axis ``axis``;
+    ``a``, ``cp`` and ``beta`` are the matrix's equation-major rows (as
+    :func:`_rows` and ``_thomas(..., factors=...)`` give them). Each step
+    divides by the stored ``β``, so the result is bit-identical to
+    ``_thomas`` on the same system.
     """
-    a, b, c, d = batch.a, batch.b, batch.c, batch.d
-    n = batch.system_size
-
-    np.divide(c[:, 0], b[:, 0], out=cp[:, 0])
-    np.divide(d[:, 0], b[:, 0], out=dp[:, 0])
-    for i in range(1, n):
-        beta = b[:, i] - a[:, i] * cp[:, i - 1]
-        np.divide(c[:, i], beta, out=cp[:, i])
-        np.divide(d[:, i] - a[:, i] * dp[:, i - 1], beta, out=dp[:, i])
-
-    x[:, -1] = dp[:, -1]
-    for i in range(n - 2, -1, -1):
-        np.multiply(cp[:, i], x[:, i + 1], out=x[:, i])
-        np.subtract(dp[:, i], x[:, i], out=x[:, i])
-    return x
+    (rhs,) = _rows((d,), axis)
+    dp = np.empty(rhs.shape, dtype=rhs.dtype)
+    dp[0] = rhs[0] / beta[0]
+    for i in range(1, rhs.shape[0]):
+        dp[i] = (rhs[i] - a[i] * dp[i - 1]) / beta[i]
+    return _back(cp, dp, d, axis)

@@ -3,10 +3,12 @@
 Egloff's GPU PDE solvers (cited in the paper's introduction) target
 exactly this workload: backward-in-time parabolic PDEs whose implicit
 time steps are tridiagonal solves. This module prices batches of
-European options on a log-price grid with backward Euler, reusing one
-:class:`~repro.algorithms.factorized.PcrThomasFactorization` across all
-time steps (the matrix is time-independent), and validates against the
-Black-Scholes closed form (tested).
+European options on a log-price grid with backward Euler. Every strike
+shares one matrix (a ``(1, n)`` row broadcast over the strikes), and
+the matrix does not change over time, so one
+:class:`~repro.algorithms.factorized.PcrThomasFactorization` of that
+row serves every strike and every time step. Prices are validated
+against the Black-Scholes closed form (tested).
 
 PDE in log-price ``y = ln S``:
 
@@ -131,18 +133,21 @@ class BlackScholesPricer:
         upper = dt * (0.5 * sig**2 / dy**2 + 0.5 * drift / dy)
         diag = 1.0 + dt * (sig**2 / dy**2 + r)
 
-        a = np.full((m, n), -lower)
-        b = np.full((m, n), diag)
-        c = np.full((m, n), -upper)
-        # Dirichlet boundaries: identity rows whose RHS carries the
-        # asymptotic option values; interior rows couple to them.
+        # One matrix row shared by every strike. Dirichlet boundaries:
+        # identity rows whose RHS carries the asymptotic option values;
+        # interior rows couple to them.
+        a = np.full((1, n), -lower)
+        b = np.full((1, n), diag)
+        c = np.full((1, n), -upper)
         a[:, 0] = 0.0
         c[:, -1] = 0.0
         b[:, 0] = 1.0
         c[:, 0] = 0.0
         b[:, -1] = 1.0
         a[:, -1] = 0.0
-        template = TridiagonalBatch(a, b, c, np.zeros((m, n)))
+        template = TridiagonalBatch(
+            *(np.broadcast_to(x, (m, n)) for x in (a, b, c)), np.zeros((m, n))
+        )
         factors = factorize(template)
 
         # Terminal payoff per strike, cell-averaged (Tavella-Randall):

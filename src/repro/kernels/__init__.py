@@ -1,16 +1,6 @@
 """Simulated GPU kernels: exact numerics + machine-model cost accounting."""
 
-from .batched import (
-    BatchedPcrKernel,
-    BatchedSweepKernel,
-    BatchedThomasKernel,
-    batched_pcr_solve,
-    batched_pcr_split,
-    batched_pcr_thomas_sweep,
-    batched_pcr_unsplit,
-    batched_staged_sweep,
-    batched_thomas_sweep,
-)
+from .batched import BatchedSweepKernel, batched_pcr_unsplit, batched_staged_sweep
 from .base import (
     GLOBAL_PCR_INSTR_PER_EQ,
     GLOBAL_PCR_VALUES_PER_EQ,
@@ -34,14 +24,8 @@ __all__ = [
     "GlobalPcrKernel",
     "CoopPcrKernel",
     "ThomasGlobalKernel",
-    "BatchedThomasKernel",
-    "BatchedPcrKernel",
     "BatchedSweepKernel",
-    "batched_thomas_sweep",
-    "batched_pcr_solve",
-    "batched_pcr_split",
     "batched_pcr_unsplit",
-    "batched_pcr_thomas_sweep",
     "batched_staged_sweep",
     "DivideKernel",
     "TransposeKernel",

@@ -88,6 +88,20 @@ def check_system_batch(batch, *, context: str = "request"):
     solve. Two vectorised reductions over the batch — cheap relative to
     any solve. Returns ``batch`` so call sites can chain.
     """
+    _check_finite(batch, context)
+    diag_ok = (batch.b != 0).all(axis=1)
+    if not diag_ok.all():
+        index = int(np.argmin(diag_ok))
+        raise InvalidSystemError(
+            f"{context}: system {index} has a zero main-diagonal entry",
+            system_index=index,
+        )
+    return batch
+
+
+def _check_finite(batch, context: str) -> None:
+    """Raise :class:`InvalidSystemError` for the first system holding a
+    NaN or Inf anywhere in its coefficients or right-hand side."""
     finite = (
         np.isfinite(batch.a).all(axis=1)
         & np.isfinite(batch.b).all(axis=1)
@@ -100,14 +114,6 @@ def check_system_batch(batch, *, context: str = "request"):
             f"{context}: system {index} contains NaN or Inf coefficients",
             system_index=index,
         )
-    diag_ok = (batch.b != 0).all(axis=1)
-    if not diag_ok.all():
-        index = int(np.argmin(diag_ok))
-        raise InvalidSystemError(
-            f"{context}: system {index} has a zero main-diagonal entry",
-            system_index=index,
-        )
-    return batch
 
 
 def check_same_shape(arrays: Sequence[np.ndarray], names: Iterable[str]) -> tuple:

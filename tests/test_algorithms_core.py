@@ -6,9 +6,7 @@ import pytest
 from repro.algorithms import (
     cr_pcr_solve,
     cr_solve,
-    lu_factor,
     lu_solve,
-    lu_solve_factored,
     pcr_reduce,
     pcr_solve,
     pcr_split,
@@ -19,7 +17,6 @@ from repro.algorithms import (
     scipy_banded_solve,
     solve_with,
     thomas_solve,
-    thomas_workspace_solve,
 )
 from repro.systems import generators
 from repro.util.errors import ConfigurationError, SingularSystemError
@@ -60,15 +57,6 @@ class TestThomas:
         b0 = small_batch.b.copy()
         thomas_solve(small_batch)
         np.testing.assert_array_equal(small_batch.b, b0)
-
-    def test_workspace_variant_matches(self, small_batch):
-        m, n = small_batch.shape
-        cp = np.empty((m, n))
-        dp = np.empty((m, n))
-        x = np.empty((m, n))
-        out = thomas_workspace_solve(small_batch, cp, dp, x)
-        assert out is x
-        np.testing.assert_allclose(out, thomas_solve(small_batch), atol=1e-14)
 
 
 class TestCR:
@@ -203,34 +191,10 @@ class TestLU:
     def test_solve_matches_oracle(self, small_batch):
         assert_close_to_oracle(small_batch, lu_solve(small_batch))
 
-    def test_factor_reuse_across_rhs(self):
-        batch = generators.random_dominant(4, 50, rng=6)
-        factors = lu_factor(batch)
-        rng = np.random.default_rng(1)
-        for _ in range(3):
-            d = rng.standard_normal(batch.shape)
-            x = lu_solve_factored(factors, d)
-            replaced = batch.with_rhs(d)
-            assert replaced.residual(x).max() < 1e-12
-
-    def test_factor_reconstructs_matrix(self):
-        batch = generators.random_dominant(2, 12, rng=7)
-        f = lu_factor(batch)
-        n = batch.system_size
-        # Rebuild A = L U and compare to the dense original.
-        L = np.zeros((2, n, n))
-        U = np.zeros((2, n, n))
-        idx = np.arange(n)
-        L[:, idx, idx] = 1.0
-        L[:, idx[1:], idx[:-1]] = f.l[:, 1:]
-        U[:, idx, idx] = f.u
-        U[:, idx[:-1], idx[1:]] = f.c[:, :-1]
-        np.testing.assert_allclose(L @ U, batch.to_dense(), atol=1e-12)
-
     def test_singular_detected(self):
         batch = generators.singular(1, 8)
         with pytest.raises(SingularSystemError):
-            lu_factor(batch)
+            lu_solve(batch)
 
 
 class TestRegistry:

@@ -24,12 +24,7 @@ from repro.faults import (
 )
 from repro.gpu import make_device
 from repro.ir import Engine
-from repro.kernels import (
-    batched_pcr_solve,
-    batched_pcr_thomas_sweep,
-    batched_thomas_sweep,
-    dtype_size,
-)
+from repro.kernels import dtype_size
 from repro.obs import Tracer
 from repro.service import BatchSolveService
 from repro.systems import BatchedTridiagonal, deinterleave, generators, interleave
@@ -133,7 +128,7 @@ class TestBatchedKernelParity:
     def test_thomas_sweep_bit_identical(self, dtype, m, n):
         batch = generators.random_dominant(m, n, rng=5, dtype=dtype)
         x_rows = thomas_solve(batch)
-        x_soa = batched_thomas_sweep(interleave(batch))
+        x_soa = thomas_solve(interleave(batch))
         np.testing.assert_array_equal(x_rows, np.ascontiguousarray(x_soa.T))
 
     @pytest.mark.parametrize("m,n", [(3, 64), (16, 256)])
@@ -141,7 +136,7 @@ class TestBatchedKernelParity:
         batch = generators.random_dominant(m, n, rng=6)
         np.testing.assert_array_equal(
             pcr_solve(batch),
-            np.ascontiguousarray(batched_pcr_solve(interleave(batch)).T),
+            np.ascontiguousarray(pcr_solve(interleave(batch)).T),
         )
 
     @pytest.mark.parametrize("switch", [8, 64])
@@ -150,7 +145,7 @@ class TestBatchedKernelParity:
         np.testing.assert_array_equal(
             pcr_thomas_solve(batch, switch),
             np.ascontiguousarray(
-                batched_pcr_thomas_sweep(interleave(batch), switch).T
+                pcr_thomas_solve(interleave(batch), switch).T
             ),
         )
 

@@ -8,21 +8,27 @@ import pytest
 from repro.algorithms import factorize, thomas_solve
 from repro.cli import main
 from repro.systems import generators
+from repro.systems.tridiagonal import TridiagonalBatch
 from repro.util.errors import ShapeError
 
 
 class TestSolveMany:
     def test_matches_per_rhs_solves(self):
-        batch = generators.random_dominant(4, 128, rng=0)
-        factors = factorize(batch)
-        rng = np.random.default_rng(1)
-        stack = rng.standard_normal((5, 4, 128))
-        X = factors.solve_many(stack)
-        assert X.shape == (5, 4, 128)
-        for r in range(5):
-            np.testing.assert_allclose(
-                X[r], factors.solve(stack[r]), atol=1e-12
+        """Bit for bit, for a tiled and a shared-matrix batch, f32 and f64."""
+        for dtype in (np.float32, np.float64):
+            tiled = generators.random_dominant(4, 128, rng=0, dtype=dtype)
+            shared = TridiagonalBatch(
+                *(np.broadcast_to(x[:1], (4, 128)) for x in (tiled.a, tiled.b, tiled.c)),
+                tiled.d,
             )
+            stack = np.random.default_rng(1).standard_normal((5, 4, 128))
+            stack = stack.astype(dtype)
+            for batch in (tiled, shared):
+                factors = factorize(batch, 3)
+                X = factors.solve_many(stack)
+                assert X.shape == (5, 4, 128) and X.dtype == dtype
+                for r in range(5):
+                    assert X[r].tobytes() == factors.solve(stack[r]).tobytes()
 
     def test_residuals(self):
         batch = generators.random_dominant(3, 256, rng=2)

@@ -26,7 +26,6 @@ from repro.algorithms import (
     pcr_step,
 )
 from repro.algorithms.spike import partition_bounds, spike_rhs, split_chunks
-from repro.kernels.batched import batched_pcr_solve, batched_pcr_split
 from repro.systems import generators
 from repro.systems.batched import BatchedTridiagonal
 from repro.systems.tridiagonal import TridiagonalBatch
@@ -92,9 +91,9 @@ class TestNoMutationNoAliasing:
         batch, _ = frozen_batch
         batched, snapshot = _read_only(BatchedTridiagonal.interleave(batch))
         inputs = (batched.a, batched.b, batched.c, batched.d)
-        split = batched_pcr_split(batched, 3)
+        split = pcr_split(batched, 3)
         _assert_disjoint((split.a, split.b, split.c, split.d), inputs)
-        _assert_disjoint([batched_pcr_solve(batched)], inputs)
+        _assert_disjoint([pcr_solve(batched)], inputs)
         _assert_untouched(batched, snapshot)
 
 
@@ -122,7 +121,7 @@ def _peak_in_arrays(fn, arg, steps, array_bytes):
     return peak / array_bytes
 
 
-@pytest.mark.parametrize("layout", ["batched_pcr_split", "pcr_reduce"])
+@pytest.mark.parametrize("layout", ["pcr_split", "pcr_reduce"])
 def test_reduction_working_set_is_bounded(long_batch, layout):
     """At most 10 batch-sized arrays at peak, flat in the step count.
 
@@ -130,8 +129,8 @@ def test_reduction_working_set_is_bounded(long_batch, layout):
     allocating step (padded copies plus fresh temporaries) peaks at
     fifteen. Timing-free, so it guards the win in every environment.
     """
-    if layout == "batched_pcr_split":
-        fn, arg = batched_pcr_split, BatchedTridiagonal.interleave(long_batch)
+    if layout == "pcr_split":
+        fn, arg = pcr_split, BatchedTridiagonal.interleave(long_batch)
     else:
         fn, arg = pcr_reduce, long_batch
     array_bytes = long_batch.b.nbytes
