@@ -26,7 +26,7 @@ import numpy as np
 from ..systems.tridiagonal import TridiagonalBatch
 from ..util.errors import ShapeError
 from ..util.validation import check_power_of_two, ilog2
-from .pcr import _couple, _gather, _Periodic, _scatter, pcr_reduce_arrays
+from .pcr import _gather, _Periodic, _reduce_rhs, _scatter, pcr_reduce_arrays
 from .thomas import _rows, _thomas, _thomas_factored
 
 __all__ = ["PcrThomasFactorization", "factorize"]
@@ -59,15 +59,7 @@ class PcrThomasFactorization:
         p = self.beta.shape[1] >> k
         d = d.reshape(-1, p, n)
         if self.steps:
-            bufs = [np.empty(d.shape, d.dtype) for _ in range(3)]
-            stride = 1
-            for j, (alpha, gamma) in enumerate(self.steps):
-                # The reduction's own RHS update at this level:
-                # (d + alpha * d_lo) + gamma * d_hi.
-                out = bufs[j % 2]
-                _couple(out, d, alpha, d, gamma, d, stride, 2, bufs[2])
-                d = out
-                stride *= 2
+            d = _reduce_rhs(d, self.steps, 2)
             d = _gather(d.reshape(-1, n), k).reshape(-1, p << k, n >> k)
         x = _thomas_factored(d, 2, self.a, self.cp, self.beta)
         return _scatter(x, k) if k else np.ascontiguousarray(x)

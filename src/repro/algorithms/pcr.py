@@ -15,10 +15,18 @@ Every numeric split in the package runs through one reduction:
   (``axis=1`` for the row-major ``(m, n)`` layout, ``2`` in its 3-D
   period form below, ``axis=0`` for the interleaved ``(n, m)`` layout of
   :mod:`repro.kernels.batched`), into buffers allocated once per call
-  and reused by every step. The
-  matrix and ``d`` may differ in width: a matrix that broadcasts against
-  ``d`` is reduced at its own width, and only ``d`` is coupled at full
-  width;
+  and reused by every step. The matrix and ``d`` may differ in width: a
+  matrix that broadcasts against ``d`` is reduced at its own width, and
+  only ``d`` is coupled at full width. Each step is computed block by
+  block, the host's form of the paper's cooperative stage 1: its
+  outputs are cut along the equation axis into runs of about half an L2
+  of input, shared out across a process-wide thread pool with one
+  worker per CPU the process may run on (NumPy releases the GIL inside
+  each ufunc), and every block of a step finishes before the next step
+  starts. Each worker has one block-sized scratch pair. Batches smaller
+  than a block, and row-major batches of many short systems, run as one
+  block, inline. Nothing about the cut is configurable, and no bit
+  depends on it;
 - :func:`pcr_step` — one step on raw ``(m, n)`` coefficient arrays;
 - :func:`pcr_reduce` / :func:`pcr_split` — ``k`` steps, the latter plus
   the gather that reorders the interleaved subsystems into a contiguous
@@ -39,7 +47,11 @@ per-element arithmetic — hence every bit — is the tiled batch's.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple, Union
+import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -62,43 +74,148 @@ Batch = Union[TridiagonalBatch, BatchedTridiagonal, "_Periodic"]
 
 
 def _along(axis: int, start, stop) -> tuple:
-    """Index tuple selecting ``start:stop`` along ``axis``.
+    """Index tuple selecting ``start:stop`` along ``axis``."""
+    return (slice(None),) * axis + (slice(start, stop),)
 
-    A negative ``axis`` counts from the end, so a trailing-axis index
-    also applies to stacked (broadcast) operands.
+
+# -- blocks and the worker pool ---------------------------------------------------
+
+# Input bytes (a, b, c and d together) one block of a step covers: half
+# of a 2 MB per-core L2, so a block's inputs and outputs together about
+# fill it through the step's ~20 passes. ROADMAP item 3 records the
+# block-size sweep behind the value.
+_BLOCK_BYTES = 1 << 20
+
+_pool_lock = threading.Lock()
+_pool: list = []  # [(pid, cpus, helpers)] once created
+
+
+def _workers() -> Tuple[int, Optional[ThreadPoolExecutor]]:
+    """The process-wide pool: the CPUs this process may run on, and an
+    executor of one helper thread fewer (the caller is the last worker).
+    Created on first use, and again in a forked child."""
+    with _pool_lock:
+        if not _pool or _pool[0][0] != os.getpid():
+            try:
+                cpus = len(os.sched_getaffinity(0))
+            except AttributeError:  # no affinity call on this platform
+                cpus = os.cpu_count() or 1
+            helpers = (
+                ThreadPoolExecutor(cpus - 1, thread_name_prefix="repro-pcr")
+                if cpus > 1
+                else None
+            )
+            _pool[:] = [(os.getpid(), cpus, helpers)]
+        return _pool[0][1:]
+
+
+class _Blocks:
+    """The rows of a step, cut along ``axis`` into cache-sized blocks.
+
+    A block is a contiguous run of rows holding at most about
+    ``_BLOCK_BYTES`` of input. The blocks are dealt out in equal
+    contiguous shares of two or more, one share per worker, and each
+    worker owns one block-sized scratch pair (matrix width, ``d`` width;
+    one array when the widths agree). A step never writes its inputs,
+    so a block reads its ``i ± s`` neighbours straight from the full
+    inputs: no halo is copied.
+
+    A batch that fits in one block is one block, run inline. So is a
+    row-major batch whose blocks would be short strided runs, under
+    ``_BLOCK_BYTES / 2048`` (512 B) per system — many short systems,
+    such as ADI's y-sweep: cutting those only scatters each pass.
     """
-    part = slice(start, stop)
-    if axis < 0:
-        return (Ellipsis, part) + (slice(None),) * (-axis - 1)
-    return (slice(None),) * axis + (part,)
+
+    def __init__(self, shape: tuple, d_shape: tuple, dtype, axis: int) -> None:
+        n = d_shape[axis]
+        itemsize = np.dtype(dtype).itemsize
+        row_bytes = itemsize * (math.prod(d_shape) + 3 * math.prod(shape)) // max(n, 1)
+        rows = max(1, _BLOCK_BYTES // max(row_bytes, 1))
+        count = max(1, -(-n // rows))
+        if axis == len(d_shape) - 1 and rows * itemsize * 2048 < _BLOCK_BYTES:
+            count = 1
+        workers, self.helpers = 1, None
+        if count > 1:
+            # Equal shares of at least two blocks per worker, so all the
+            # workers' scratch holds at most half a full-width array.
+            workers, self.helpers = _workers()
+            count = -(-max(count, 2 * workers) // workers) * workers
+        edges = [i * n // count for i in range(count + 1)]
+        blocks = list(zip(edges[:-1], edges[1:]))
+        share = count // workers
+        self.parts = [blocks[t * share : (t + 1) * share] for t in range(workers)]
+        self.axis = axis
+        width = -(-n // count)
+
+        def block_sized(full: tuple) -> np.ndarray:
+            return np.empty(full[:axis] + (width,) + full[axis + 1 :], dtype)
+
+        self.scratch = []
+        for _ in range(workers):
+            scratch = block_sized(shape)
+            d_scratch = scratch if d_shape == shape else block_sized(d_shape)
+            self.scratch.append((scratch, d_scratch))
+
+    def _work(self, t: int, block: Callable) -> None:
+        for lo, hi in self.parts[t]:
+            rows = _along(self.axis, None, hi - lo)
+            block(lo, hi, *(x[rows] for x in self.scratch[t]))
+
+    def run(self, block: Callable) -> None:
+        """``block(lo, hi, scratch, d_scratch)`` over every block; returns
+        when all are done. Helpers run under the caller's floating-point
+        error state (``np.errstate`` is per thread), and an error raised
+        in any block is re-raised here."""
+        if len(self.parts) == 1:
+            self._work(0, block)
+            return
+        err, call = np.geterr(), np.geterrcall()
+
+        def helper(t: int) -> None:
+            with np.errstate(call=call, **err):
+                self._work(t, block)
+
+        futures = [self.helpers.submit(helper, t) for t in range(1, len(self.parts))]
+        try:
+            self._work(0, block)
+        finally:
+            wait(futures)
+        for future in futures:
+            future.result()
 
 
-def _times_lo(out, mult, src, s: int, axis: int) -> None:
-    """``out[i] = mult[i] * src[i - s]``; ``mult[i] * 0.0`` where ``i < s``.
+# -- one step, block by block -------------------------------------------------------
 
-    Rows without a lower neighbour multiply by the identity equation's
-    zero literally, so signed zeros match the padded formula.
-    """
-    n = out.shape[axis]
-    e = min(s, n)
-    np.multiply(
-        mult[_along(axis, e, None)],
-        src[_along(axis, None, n - e)],
-        out=out[_along(axis, e, None)],
+
+class _Side(NamedTuple):
+    """A block's rows split by whether their neighbour on one side exists."""
+
+    has: tuple  # block rows with a neighbour
+    src: tuple  # those neighbours' rows in the full arrays
+    none: tuple  # block rows without one (the identity equation's side)
+
+
+def _lower(axis: int, s: int, lo: int, hi: int) -> _Side:
+    """Rows ``lo:hi`` against their neighbours at ``i - s``."""
+    e = min(max(s - lo, 0), hi - lo)
+    return _Side(
+        _along(axis, e, None), _along(axis, lo + e - s, hi - s), _along(axis, None, e)
     )
-    np.multiply(mult[_along(axis, None, e)], 0.0, out=out[_along(axis, None, e)])
 
 
-def _times_hi(out, mult, src, s: int, axis: int) -> None:
-    """``out[i] = mult[i] * src[i + s]``; ``mult[i] * 0.0`` where ``i + s >= n``."""
-    n = out.shape[axis]
-    h = max(n - s, 0)
-    np.multiply(
-        mult[_along(axis, None, h)],
-        src[_along(axis, n - h, None)],
-        out=out[_along(axis, None, h)],
+def _upper(axis: int, s: int, lo: int, hi: int, n: int) -> _Side:
+    """Rows ``lo:hi`` against their neighbours at ``i + s < n``."""
+    h = min(max(n - s - lo, 0), hi - lo)
+    return _Side(
+        _along(axis, None, h), _along(axis, lo + s, lo + s + h), _along(axis, h, None)
     )
-    np.multiply(mult[_along(axis, h, None)], 0.0, out=out[_along(axis, h, None)])
+
+
+def _times(out, mult, src, side: _Side) -> None:
+    """``out[i] = mult[i] * src[neighbour(i)]``; ``mult[i] * 0.0`` where
+    there is none, so signed zeros match the padded formula."""
+    np.multiply(mult[side.has], src[side.src], out=out[side.has])
+    np.multiply(mult[side.none], 0.0, out=out[side.none])
 
 
 def _couple(
@@ -108,20 +225,49 @@ def _couple(
     lo_src: np.ndarray,
     hi_mult: np.ndarray,
     hi_src: np.ndarray,
-    s: int,
-    axis: int,
+    lower: _Side,
+    upper: _Side,
     scratch: np.ndarray,
 ) -> None:
     """``out = (base + lo_mult * lo_src[i-s]) + hi_mult * hi_src[i+s]``.
 
     The shared update of one PCR step (for ``b`` and ``d``) and of a
-    factored RHS sweep. ``scratch`` is a buffer shaped like ``out``; the
-    multipliers may broadcast against it along the leading axes.
+    factored RHS sweep. ``out``, ``base``, the multipliers and the
+    ``scratch`` are one block's rows, the sources full arrays; the
+    multipliers may broadcast against ``scratch`` off the equation axis.
     """
-    _times_lo(scratch, lo_mult, lo_src, s, axis)
+    _times(scratch, lo_mult, lo_src, lower)
     np.add(base, scratch, out=out)
-    _times_hi(scratch, hi_mult, hi_src, s, axis)
+    _times(scratch, hi_mult, hi_src, upper)
     np.add(out, scratch, out=out)
+
+
+def _step(src: Coeffs, dst: Coeffs, s: int, axis: int, record) -> Callable:
+    """One PCR step at stride ``s`` from ``src`` into ``dst``, as a
+    block function for :meth:`_Blocks.run`; ``record``, if given, is an
+    ``(alpha, gamma)`` pair of full arrays that receive the multipliers."""
+    a, b, c, d = src
+    n = b.shape[axis]
+
+    def block(lo: int, hi: int, scratch: np.ndarray, d_scratch: np.ndarray) -> None:
+        rows = _along(axis, lo, hi)
+        na, nb, nc, nd = (x[rows] for x in dst)
+        lower, upper = _lower(axis, s, lo, hi), _upper(axis, s, lo, hi, n)
+        # alpha = -a / b_lo into na; gamma = -c / b_hi into nc. Rows with
+        # no neighbour divide by the identity's 1, i.e. keep -a / -c.
+        np.negative(a[rows], out=na)
+        np.divide(na[lower.has], b[lower.src], out=na[lower.has])
+        np.negative(c[rows], out=nc)
+        np.divide(nc[upper.has], b[upper.src], out=nc[upper.has])
+        _couple(nb, b[rows], na, c, nc, a, lower, upper, scratch)
+        _couple(nd, d[rows], na, d, nc, d, lower, upper, d_scratch)
+        if record is not None:
+            np.copyto(record[0][rows], na)
+            np.copyto(record[1][rows], nc)
+        _times(na, na, a, lower)
+        _times(nc, nc, c, upper)
+
+    return block
 
 
 def pcr_reduce_arrays(
@@ -151,12 +297,20 @@ def pcr_reduce_arrays(
     than ``d`` and broadcast against it (the period form): the
     matrix-only quantities — ``alpha``, ``gamma`` and the new ``a``,
     ``b``, ``c`` — are then computed once at the matrix's width, and
-    only ``d`` is coupled at full width. The steps ping-pong between two
-    sets of four output buffers plus one scratch array per width,
-    allocated once per call; the inputs are never written and the
-    result shares no memory with them. With a ``multipliers`` list,
-    each step appends copies of its ``(alpha, gamma)`` elimination
-    coefficients.
+    only ``d`` is coupled at full width.
+
+    The steps ping-pong between two sets of four output buffers,
+    allocated once per call; the inputs are never written and the result
+    shares no memory with them. Each step is computed block by block
+    (:class:`_Blocks`): cache-sized runs of rows along ``axis``, shared
+    out across a process-wide pool of one worker per CPU the process may
+    run on, each worker with its own block-sized scratch; every block of
+    a step finishes before the next step starts. A batch that fits in
+    one block, or a row-major batch of many short systems, runs as one
+    block, inline. The per-element arithmetic does not depend on
+    the cut, so neither does any bit, and nothing about it is
+    configurable. With a ``multipliers`` list, each step appends copies
+    of its ``(alpha, gamma)`` elimination coefficients.
     """
     require(steps >= 0, f"steps must be >= 0, got {steps}")
     s = int(start_stride)
@@ -165,9 +319,7 @@ def pcr_reduce_arrays(
         return a.copy(), b.copy(), c.copy(), d.copy()
     dtype = np.result_type(a, b, c, d)
     shape = b.shape
-    n = shape[axis]
-    scratch = np.empty(shape, dtype)
-    d_scratch = scratch if d.shape == shape else np.empty(d.shape, dtype)
+    blocks = _Blocks(shape, d.shape, dtype, axis)
 
     def buffers():
         return tuple(np.empty(shape, dtype) for _ in range(3)) + (
@@ -177,32 +329,50 @@ def pcr_reduce_arrays(
     sets = [buffers()]
     if steps > 1:
         sets.append(buffers())
+    src = (a, b, c, d)
     for j in range(steps):
-        na, nb, nc, nd = sets[j % 2]
-        e, h = min(s, n), max(n - s, 0)
-        # alpha = -a / b_lo into na; gamma = -c / b_hi into nc. Rows with
-        # no neighbour divide by the identity's 1, i.e. keep -a / -c.
-        np.negative(a, out=na)
-        np.divide(
-            na[_along(axis, e, None)],
-            b[_along(axis, None, n - e)],
-            out=na[_along(axis, e, None)],
-        )
-        np.negative(c, out=nc)
-        np.divide(
-            nc[_along(axis, None, h)],
-            b[_along(axis, n - h, None)],
-            out=nc[_along(axis, None, h)],
-        )
-        _couple(nb, b, na, c, nc, a, s, axis, scratch)
-        _couple(nd, d, na, d, nc, d, s, axis, d_scratch)
+        dst = sets[j % 2]
+        record = None
         if multipliers is not None:
-            multipliers.append((na.copy(), nc.copy()))
-        _times_lo(na, na, a, s, axis)
-        _times_hi(nc, nc, c, s, axis)
-        a, b, c, d = na, nb, nc, nd
+            record = (np.empty(shape, dtype), np.empty(shape, dtype))
+        blocks.run(_step(src, dst, s, axis, record))
+        if record is not None:
+            multipliers.append(record)
+        src = dst
         s *= 2
-    return a, b, c, d
+    return src
+
+
+def _rhs_step(out, d, alpha, gamma, s: int, axis: int) -> Callable:
+    """``out = (d + alpha * d_lo) + gamma * d_hi`` at stride ``s``, as a
+    block function for :meth:`_Blocks.run`."""
+    n = d.shape[axis]
+
+    def block(lo: int, hi: int, _, d_scratch: np.ndarray) -> None:
+        rows = _along(axis, lo, hi)
+        lower, upper = _lower(axis, s, lo, hi), _upper(axis, s, lo, hi, n)
+        _couple(out[rows], d[rows], alpha[rows], d, gamma[rows], d, lower, upper, d_scratch)
+
+    return block
+
+
+def _reduce_rhs(
+    d: np.ndarray, multipliers: List[Tuple[np.ndarray, np.ndarray]], axis: int
+) -> np.ndarray:
+    """The right-hand side's share of a recorded reduction.
+
+    Replays the ``d`` update of each step that ``pcr_reduce_arrays(...,
+    multipliers=...)`` recorded (strides 1, 2, 4, ...) with the stored
+    ``(alpha, gamma)``, block by block like the reduction itself, so the
+    result equals the ``d`` it would have produced, bit for bit.
+    """
+    blocks = _Blocks(multipliers[0][0].shape, d.shape, d.dtype, axis)
+    bufs = [np.empty(d.shape, d.dtype) for _ in range(min(len(multipliers), 2))]
+    for j, (alpha, gamma) in enumerate(multipliers):
+        out = bufs[j % 2]
+        blocks.run(_rhs_step(out, d, alpha, gamma, 1 << j, axis))
+        d = out
+    return d
 
 
 def pcr_step(

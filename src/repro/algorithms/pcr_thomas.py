@@ -49,10 +49,7 @@ def pcr_thomas_solve(
     the solution comes back in the batch's layout.
     """
     work = _Periodic.of(batch)
-    n = work.system_size
-    if n == 1:
-        return work.flat(work.d / work.b)
-    switch = normalize_thomas_switch(n, thomas_switch)
+    switch = normalize_thomas_switch(work.system_size, thomas_switch)
     steps = ilog2(switch)
     x_split = _thomas(pcr_split(work, steps), check)
     if not steps:

@@ -19,6 +19,8 @@ from repro.algorithms import (
     thomas_solve,
 )
 from repro.systems import generators
+from repro.systems.batched import BatchedTridiagonal
+from repro.systems.tridiagonal import TridiagonalBatch
 from repro.util.errors import ConfigurationError, SingularSystemError
 from tests.conftest import assert_close_to_oracle
 
@@ -155,6 +157,29 @@ class TestPCRThomas:
     def test_size_one(self):
         batch = generators.identity(2, 1)
         np.testing.assert_array_equal(pcr_thomas_solve(batch, 64), batch.d)
+
+    @staticmethod
+    def _one_equation(b, d, interleaved):
+        zeros = np.zeros((len(b), 1))
+        batch = TridiagonalBatch(zeros, np.reshape(b, (-1, 1)), zeros, np.reshape(d, (-1, 1)))
+        return BatchedTridiagonal.interleave(batch) if interleaved else batch
+
+    @pytest.mark.parametrize("interleaved", [False, True])
+    def test_size_one_zero_pivot_raises_like_thomas(self, interleaved):
+        batch = self._one_equation([2.0, 0.0], [1.0, 1.0], interleaved)
+        for solve in (thomas_solve, pcr_thomas_solve):
+            with pytest.raises(SingularSystemError) as exc:
+                solve(batch)
+            assert exc.value.system_index == 1
+
+    @pytest.mark.parametrize("interleaved", [False, True])
+    def test_size_one_is_d_over_b_bit_for_bit(self, interleaved):
+        b = np.array([3.0, -7.0, 0.1, -2.5])
+        d = np.array([-0.0, 0.0, 1.0, -3.0])
+        x = pcr_thomas_solve(self._one_equation(b, d, interleaved), 64)
+        want = (d / b).reshape(-1, 1)
+        want = want.T if interleaved else want
+        np.testing.assert_array_equal(x.view(np.uint64), want.view(np.uint64))
 
 
 class TestCRPCR:

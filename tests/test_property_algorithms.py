@@ -9,15 +9,17 @@ Invariants under test:
 - LU factors reproduce Thomas results;
 - the shared pad-free PCR reduction reproduces the padded textbook step
   bit for bit (as integer bit patterns, so signed zeros count), along
-  both layouts' axes;
+  both layouts' axes, and cutting its steps into blocks changes no bit;
 - solvers are stack-equivariant: stacking independent batches and
   solving once is bit-identical to solving each batch alone (the
   contract the batched solve service is built on).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.algorithms import pcr
 from repro.algorithms import (
     cr_solve,
     lu_solve,
@@ -306,3 +308,55 @@ def test_reduce_arrays_matches_padded_step_bit_patterns(
         np.testing.assert_array_equal(
             have.view(uint), want.view(uint), err_msg=f"coefficient {name}"
         )
+
+
+@st.composite
+def blocked_reductions(draw):
+    """A period-form reduction and a block size that cuts it many ways.
+
+    The equation axis ``axis`` of a 3-D ``d`` has ``n`` rows; the other
+    two axes hold ``q`` right-hand sides per matrix and a period ``P``.
+    A shared matrix has ``q = 1`` (it broadcasts), a tiled one has
+    ``d``'s shape. Returns the arrays, the step parameters and a block
+    byte budget of ``1..48`` rows, so ``n`` is rarely a multiple of the
+    block and strides often reach two or more blocks away.
+    """
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    axis = draw(st.sampled_from([0, 1, 2]))
+    n = draw(st.integers(min_value=1, max_value=300))
+    q, p = draw(st.sampled_from([1, 3])), draw(st.sampled_from([1, 2, 5]))
+    shared = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    d_shape = [q, p]
+    d_shape.insert(axis, n)
+    m_shape = list(d_shape)
+    if shared:
+        m_shape[1 if axis == 0 else 0] = 1  # the q axis
+    a, c = (rng.uniform(-0.9, 0.9, m_shape) for _ in range(2))
+    b = rng.uniform(2.0, 4.0, m_shape) * rng.choice([-1.0, 1.0], m_shape)
+    arrays = [x.astype(dtype) for x in (a, b, c, rng.standard_normal(d_shape))]
+    row_bytes = np.dtype(dtype).itemsize * (arrays[3].size + 3 * b.size) // n
+    block_bytes = row_bytes * draw(st.integers(min_value=1, max_value=48))
+    start_stride = draw(st.sampled_from([1, 3])) << draw(st.integers(0, 8))
+    steps = draw(st.integers(min_value=1, max_value=4))
+    return arrays, axis, start_stride, steps, block_bytes
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=blocked_reductions())
+def test_blocked_reduction_matches_one_block_bit_patterns(case):
+    """Cutting each step into blocks (and sharing them across workers)
+    changes no bit of the result or of the recorded multipliers."""
+    (a, b, c, d), axis, start_stride, steps, block_bytes = case
+    uint = np.uint32 if d.dtype == np.float32 else np.uint64
+    results = []
+    for budget in (1 << 62, block_bytes):
+        multipliers = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pcr, "_BLOCK_BYTES", budget)
+            out = pcr_reduce_arrays(
+                a, b, c, d, steps, axis, start_stride, multipliers=multipliers
+            )
+        results.append(list(out) + [x for pair in multipliers for x in pair])
+    for one, blocked in zip(*results):
+        np.testing.assert_array_equal(blocked.view(uint), one.view(uint))
