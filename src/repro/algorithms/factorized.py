@@ -26,7 +26,7 @@ import numpy as np
 from ..systems.tridiagonal import TridiagonalBatch
 from ..util.errors import ShapeError
 from ..util.validation import check_power_of_two, ilog2
-from .pcr import _gather, _Periodic, _reduce_rhs, _scatter, pcr_reduce_arrays
+from .pcr import _Periodic, _reduce_rhs, pcr_reduce_arrays
 from .thomas import _rows, _thomas, _thomas_factored
 
 __all__ = ["PcrThomasFactorization", "factorize"]
@@ -38,10 +38,11 @@ class PcrThomasFactorization:
 
     ``steps`` holds, per PCR level, the ``(alpha, gamma)`` multipliers,
     each ``(1, P, n)`` for a matrix of period ``P`` (1 shared, else
-    ``m``). ``a``, ``cp`` and ``beta`` are the ``2^k``-way split
-    subsystems' sub-diagonal, modified super-diagonal and Thomas pivots,
-    equation-major ``(n / 2^k, P * 2^k)``. ``solve`` applies them to any
-    right-hand side.
+    ``m``). ``a``, ``cp`` and ``beta`` are the ``2^k`` split subsystems'
+    sub-diagonal, modified super-diagonal and Thomas pivots, read in
+    place at stride ``2^k`` and held equation-major: ``(n, P)`` unsplit,
+    ``(n / 2^k, 1, P, 2^k)`` split. ``solve`` applies them to any
+    right-hand side; nothing is gathered or scattered.
     """
 
     shape: Tuple[int, int]
@@ -54,15 +55,12 @@ class PcrThomasFactorization:
     def _solve(self, d: np.ndarray) -> np.ndarray:
         """Solve ``(rows, n)`` right-hand sides; ``rows`` is a multiple of
         the matrix period, and row ``r`` uses matrix row ``r mod P``."""
-        k = self.split_depth
         n = self.shape[1]
-        p = self.beta.shape[1] >> k
-        d = d.reshape(-1, p, n)
+        d = d.reshape(-1, self.beta.size // n, n)
         if self.steps:
             d = _reduce_rhs(d, self.steps, 2)
-            d = _gather(d.reshape(-1, n), k).reshape(-1, p << k, n >> k)
-        x = _thomas_factored(d, 2, self.a, self.cp, self.beta)
-        return _scatter(x, k) if k else np.ascontiguousarray(x)
+        x = _thomas_factored(d, 2, 1 << self.split_depth, self.a, self.cp, self.beta)
+        return np.ascontiguousarray(x)
 
     def solve(self, d: np.ndarray) -> np.ndarray:
         """Solve ``A x = d`` for a new RHS using the cached factors."""
@@ -122,8 +120,8 @@ def factorize(
         axis=2,
         multipliers=steps,
     )
-    split = _Periodic(*reduced, axis=2).gathered(split_depth)
-    (a,) = _rows((split.a,), split.axis)
+    split = _Periodic(*reduced, axis=2, stride=1 << split_depth)
+    (a,) = _rows((split.a,), split.axis, split.stride)
     cp, beta = (np.empty(a.shape, a.dtype) for _ in range(2))
     _thomas(split, True, (cp, beta))
     return PcrThomasFactorization(

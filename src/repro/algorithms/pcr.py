@@ -30,7 +30,7 @@ Every numeric split in the package runs through one reduction:
 - :func:`pcr_step` — one step on raw ``(m, n)`` coefficient arrays;
 - :func:`pcr_reduce` / :func:`pcr_split` — ``k`` steps, the latter plus
   the gather that reorders the interleaved subsystems into a contiguous
-  batch (and :func:`pcr_unsplit_solution` to undo the reorder on
+  public batch (and :func:`pcr_unsplit_solution` to undo the reorder on
   solutions);
 - :func:`pcr_solve` — full solve by running ``log2(n)`` steps until every
   subsystem has size 1.
@@ -40,9 +40,15 @@ layout. Internally they run on a private *period form*: the matrix is
 held once per period ``P`` of the system axis, and ``d`` at full width
 (``(1, P, n)`` against ``(m/P, P, n)``, or ``(n, 1, P)`` against
 ``(n, m/P, P)`` interleaved). A shared-matrix batch enters with
-``P = 1``, any other batch with ``P = m``. The ``2^k``-way gather maps
-period ``P`` to ``P * 2^k``, so the form survives every split, and the
-per-element arithmetic — hence every bit — is the tiled batch's.
+``P = 1``, any other batch with ``P = m``. A split is a stride, not a
+copy: the form also counts the ``S = 2^k`` subsystems each system has
+been split into, interleaved at stride ``S`` in the caller's equation
+order, and the next split continues the reduction at ``start_stride=S``
+— the paper's stages 2 and 3 on split subsystems in place. Thomas reads
+the subsystems as a strided view (:mod:`repro.algorithms.thomas`), so
+nothing on a solve is gathered or scattered; only the public
+:func:`pcr_split` gathers, because it returns contiguous subsystems.
+The per-element arithmetic — hence every bit — is the tiled batch's.
 """
 
 from __future__ import annotations
@@ -432,24 +438,50 @@ def _gather_interleaved(arr: np.ndarray, k: int) -> np.ndarray:
     ).reshape(sub, m * groups)
 
 
-def _scatter_interleaved(arr: np.ndarray, k: int) -> np.ndarray:
-    """Inverse of :func:`_gather_interleaved` for ``(sub, m * 2^k)`` arrays."""
-    groups = 1 << k
-    sub, mg = arr.shape
-    m = mg // groups
-    return np.ascontiguousarray(
-        arr.reshape(sub, m, groups).transpose(0, 2, 1)
-    ).reshape(sub * groups, m)
+def _flat(x: np.ndarray, axis: int) -> np.ndarray:
+    """A ``d``-shaped array in its layout's 2-D shape: ``(m, N)``
+    row-major, ``(N, m)`` interleaved."""
+    return x.reshape(x.shape[0], -1) if axis == 0 else x.reshape(-1, x.shape[-1])
+
+
+def _public(arrays: list, axis: int, stride: int):
+    """The public container of a period form's ``[a, b, c, d]``.
+
+    A form with ``stride`` ``S > 1`` has its ``S`` interleaved subsystems
+    per system gathered into contiguous systems (:func:`_gather`,
+    :func:`_gather_interleaved`). An unsplit matrix with period ``P = 1``
+    stays a broadcast view; any other matrix narrower than ``d`` is
+    tiled out to every system. Consumes ``arrays``: each input is
+    released once its output exists (``d`` first), so a split's result
+    never coexists with all of its source.
+    """
+    shape = arrays[-1].shape
+    k = ilog2(stride)
+    out: list = []
+    while arrays:
+        x = arrays.pop()
+        if x.shape != shape:
+            x = np.broadcast_to(x, shape)
+        x = _flat(x, axis)
+        if k:
+            x = (_gather_interleaved if axis == 0 else _gather)(x, k)
+        out.insert(0, x)
+    cls = BatchedTridiagonal if axis == 0 else TridiagonalBatch
+    return cls(*out)
 
 
 class _Periodic(NamedTuple):
-    """The period form: ``m = q * P`` systems, matrix row ``s mod P``.
+    """The period form: ``m = q * P`` systems, matrix row ``s mod P``,
+    each system split into ``S = stride`` interleaved subsystems.
 
-    ``d`` is ``(q, P, n)`` row-major (``axis=2``) or ``(n, q, P)``
+    ``d`` is ``(q, P, N)`` row-major (``axis=2``) or ``(N, q, P)``
     interleaved (``axis=0``); ``a``, ``b`` and ``c`` have ``d``'s shape
-    with ``q`` set to 1, so they broadcast against it natively. Private
-    to the kernels: public entry points take and return
-    :class:`TridiagonalBatch` or :class:`BatchedTridiagonal`.
+    with ``q`` set to 1, so they broadcast against it natively.
+    Equations ``j, j + S, j + 2S, ...`` of a system form its subsystem
+    ``j``: a split is this stride, never a copy, so the form keeps the
+    caller's equation order (and a shared matrix its one row) through
+    every split. Private to the kernels: public entry points take and
+    return :class:`TridiagonalBatch` or :class:`BatchedTridiagonal`.
     """
 
     a: np.ndarray
@@ -457,6 +489,7 @@ class _Periodic(NamedTuple):
     c: np.ndarray
     d: np.ndarray
     axis: int  # the equation axis: 2 row-major, 0 interleaved
+    stride: int = 1  # S: interleaved subsystems per system, 2^(steps so far)
 
     @classmethod
     def of(cls, batch: Batch) -> "_Periodic":
@@ -483,17 +516,17 @@ class _Periodic(NamedTuple):
 
     @property
     def system_size(self) -> int:
-        """Equations per system ``n``."""
-        return self.d.shape[self.axis]
+        """Equations per (sub)system ``N / S``."""
+        return self.d.shape[self.axis] // self.stride
 
     @property
     def total_equations(self) -> int:
-        """Total equations ``m * n``."""
+        """Total equations ``m * N``."""
         return self.d.size
 
     @property
     def num_systems(self) -> int:
-        """Number of systems ``m``."""
+        """Number of (sub)systems ``m * S``."""
         return self.d.size // self.system_size
 
     @property
@@ -501,57 +534,30 @@ class _Periodic(NamedTuple):
         """Common dtype of the coefficient arrays."""
         return self.d.dtype
 
-    def flat(self, arr: np.ndarray) -> np.ndarray:
-        """A ``d``-shaped array in its layout's 2-D shape: ``(m, n)``
-        row-major, ``(n, m)`` interleaved."""
-        if self.axis == 0:
-            return arr.reshape(arr.shape[0], -1)
-        return arr.reshape(-1, arr.shape[-1])
-
     def public(self) -> Union[TridiagonalBatch, BatchedTridiagonal]:
-        """The public container. A matrix with period ``P = 1`` stays a
-        broadcast view; ``1 < P < m`` is tiled out to every system."""
-        if self.b.shape == self.d.shape:
-            abc = (self.flat(x) for x in (self.a, self.b, self.c))
-        else:
-            abc = (
-                self.flat(np.broadcast_to(x, self.d.shape))
-                for x in (self.a, self.b, self.c)
-            )
-        cls = BatchedTridiagonal if self.axis == 0 else TridiagonalBatch
-        return cls(*abc, self.flat(self.d))
+        """The public container of the form's ``m * S`` (sub)systems
+        (see :func:`_public`)."""
+        return _public(list(self[:4]), self.axis, self.stride)
 
     def reduced(self, steps: int) -> "_Periodic":
-        """``steps`` PCR steps: the matrix at its period's width, ``d`` at
-        full width."""
+        """``steps`` more PCR steps, continuing at stride ``S``: the
+        matrix at its period's width, ``d`` at full width. ``S`` becomes
+        ``S * 2^steps``."""
         return _Periodic(
             *pcr_reduce_arrays(
-                self.a, self.b, self.c, self.d, steps, axis=self.axis
+                self.a, self.b, self.c, self.d, steps,
+                axis=self.axis, start_stride=self.stride,
             ),
             axis=self.axis,
+            stride=self.stride << steps,
         )
-
-    def _map(self, fn, axis: int) -> "_Periodic":
-        return _Periodic(*(fn(x) for x in (self.a, self.b, self.c, self.d)), axis=axis)
 
     def interleaved(self) -> "_Periodic":
         """The interleaved mirror of a row-major form (a tiled transpose)."""
-        return self._map(lambda x: np.ascontiguousarray(x.transpose(2, 0, 1)), 0)
-
-    def gathered(self, k: int) -> "_Periodic":
-        """The ``2^k``-way split's gather; period ``P`` becomes ``P * 2^k``."""
-        if self.axis == 0:
-            n, _, p = self.d.shape
-            return self._map(
-                lambda x: _gather_interleaved(x.reshape(n, -1), k).reshape(
-                    n >> k, -1, p << k
-                ),
-                0,
-            )
-        _, p, n = self.d.shape
-        return self._map(
-            lambda x: _gather(x.reshape(-1, n), k).reshape(-1, p << k, n >> k),
-            2,
+        return _Periodic(
+            *(np.ascontiguousarray(x.transpose(2, 0, 1)) for x in self[:4]),
+            axis=0,
+            stride=self.stride,
         )
 
 
@@ -562,7 +568,8 @@ def pcr_reduce(batch: TridiagonalBatch, steps: int) -> TridiagonalBatch:
     ``2**steps`` form independent subsystems *in place*. Use
     :func:`pcr_split` when you want them gathered contiguously.
     """
-    return _Periodic.of(batch).reduced(steps).public()
+    work = _Periodic.of(batch)
+    return _public(list(pcr_reduce_arrays(*work[:4], steps, axis=work.axis)), work.axis, 1)
 
 
 def pcr_split(batch: Batch, steps: int) -> Batch:
@@ -572,7 +579,9 @@ def pcr_split(batch: Batch, steps: int) -> Batch:
     result is a batch of shape ``(m * 2^steps, n / 2^steps)`` (an
     interleaved one ``(n / 2^steps, m * 2^steps)``); solving it and
     applying :func:`pcr_unsplit_solution` yields the original systems'
-    solutions. The result has the input's container type.
+    solutions. The result has the input's container type; given the
+    kernels' private period form, it is that form reduced in place, its
+    subsystems at stride ``2^steps`` (nothing is gathered).
     """
     require(steps >= 0, f"steps must be >= 0, got {steps}")
     if steps == 0:
@@ -584,8 +593,9 @@ def pcr_split(batch: Batch, steps: int) -> Batch:
             f"system size {n} not divisible by 2**steps = {groups}"
         )
     work = _Periodic.of(batch)
-    split = work.reduced(steps).gathered(steps)
-    return split if work is batch else split.public()
+    if work is batch:
+        return work.reduced(steps)
+    return _public(list(work.reduced(steps)[:4]), work.axis, 1 << steps)
 
 
 def pcr_unsplit_solution(x: np.ndarray, steps: int) -> np.ndarray:
@@ -608,4 +618,4 @@ def pcr_solve(batch: Batch) -> np.ndarray:
     check_power_of_two(n, "system_size")
     reduced = work.reduced(ilog2(n))
     # After full reduction every equation reads b * x = d.
-    return work.flat(reduced.d / reduced.b)
+    return _flat(reduced.d / reduced.b, work.axis)

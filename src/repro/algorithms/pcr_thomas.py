@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..util.validation import check_power_of_two, ilog2
-from .pcr import Batch, _Periodic, _scatter, _scatter_interleaved, pcr_split
+from .pcr import Batch, _Periodic
 from .thomas import _thomas
 
 __all__ = ["pcr_thomas_solve", "normalize_thomas_switch"]
@@ -46,13 +46,12 @@ def pcr_thomas_solve(
     is split into before Thomas takes over (the paper's stage-3→4 switch
     point). Must be a power of two; values above the system size are
     clamped (each equation would already stand alone). Either layout;
-    the solution comes back in the batch's layout.
+    the solution comes back in the batch's layout. The split is a
+    stride: Thomas solves the subsystems in place, so nothing is
+    reordered; a period form already split at stride ``S`` continues.
     """
     work = _Periodic.of(batch)
     switch = normalize_thomas_switch(work.system_size, thomas_switch)
     steps = ilog2(switch)
-    x_split = _thomas(pcr_split(work, steps), check)
-    if not steps:
-        return np.ascontiguousarray(x_split)
-    unsplit = _scatter_interleaved if work.axis == 0 else _scatter
-    return unsplit(x_split, steps)
+    split = work.reduced(steps) if steps else work
+    return np.ascontiguousarray(_thomas(split, check))

@@ -15,6 +15,12 @@ shared-matrix batch — and only ``dp`` and ``x`` run at full width. Every
 step still divides by ``β`` (never multiplies by ``1/β``), so the result
 is bit-identical to the tiled batch's.
 
+A form already split by PCR holds ``S`` subsystems per system at stride
+``S``, in place. Thomas reads them as a strided equation-major view and
+returns ``x`` in the caller's equation order, so the hybrid solve
+(:func:`repro.algorithms.pcr_thomas_solve`) gathers and scatters
+nothing, and a vanishing pivot names the caller's system and equation.
+
 The one-shot sweep is one fused forward loop. It can also record ``cp``
 and ``β`` as it goes; :func:`repro.algorithms.factorize` keeps them and
 later right-hand sides rerun only the ``dp`` update
@@ -42,16 +48,19 @@ def _pivot_floor(dtype: np.dtype) -> float:
     return float(info.tiny / info.eps)
 
 
-def _singular(beta: np.ndarray, floor: float, row: int) -> SingularSystemError:
-    """The error for the first system whose pivot at ``row`` vanishes.
-
-    ``beta`` holds one pivot per period slot; slot ``p`` is also the
-    first tiled system with that matrix, so the reported index is the
-    tiled batch's.
+def _singular(beta, floor: float, row: int, axis: int = 2, stride: int = 1):
+    """The :class:`SingularSystemError` for the first system whose pivot
+    at ``row`` vanishes. ``beta`` is a row of pivots at the matrix's
+    width (:func:`_rows`): its flagged entry names the period slot ``p``
+    (the caller's system ``p``, or system 0 of a batch sharing one
+    matrix) and subsystem ``j``, which is equation ``row * S + j``.
     """
-    idx = int(np.argmax(np.abs(beta) <= floor))
+    mask = np.abs(beta) <= floor
+    # (P, S): slot-major, so the first flagged entry is the first system's.
+    mask = mask.reshape(-1, stride) if axis else mask.reshape(stride, -1).T
+    p, j = divmod(int(np.argmax(mask)), stride)
     return SingularSystemError(
-        f"zero pivot at row {row} of system {idx}", system_index=idx
+        f"zero pivot at row {row * stride + j} of system {p}", system_index=p
     )
 
 
@@ -69,13 +78,21 @@ def thomas_solve(batch: Batch, *, check: bool = True) -> np.ndarray:
     return np.ascontiguousarray(_thomas(_Periodic.of(batch), check))
 
 
-def _rows(arrays, axis: int) -> list:
-    """Equation-major views of period-form ``arrays``.
+def _rows(arrays, axis: int, stride: int = 1) -> list:
+    """Equation-major views of period-form ``arrays`` at stride ``S``.
 
-    Row ``i`` of each view is equation ``i`` of every system: ``(n, q,
-    P)``, with the ``q = 1`` axis dropped (always for the matrix, for
-    ``d`` when ``q = 1``) so those rows are ``(P,)``.
+    Row ``i`` holds equation ``i * S + j`` (of subsystem ``j``) of every
+    system. With ``S = 1`` a row is ``(q, P)``, the ``q = 1`` axis dropped
+    (always for the matrix) so those rows are ``(P,)``; with ``S > 1`` it
+    is ``(q, P, S)`` row-major, ``(S, q, P)`` interleaved (a free reshape).
     """
+    if stride > 1:
+        if axis:
+            return [
+                x.reshape(*x.shape[:2], -1, stride).transpose(2, 0, 1, 3)
+                for x in arrays
+            ]
+        return [x.reshape(-1, stride, *x.shape[1:]) for x in arrays]
     if axis:
         arrays = [x.transpose(2, 0, 1) for x in arrays]
     return [
@@ -84,33 +101,38 @@ def _rows(arrays, axis: int) -> list:
     ]
 
 
-def _back(cp: np.ndarray, dp: np.ndarray, d: np.ndarray, axis: int) -> np.ndarray:
+def _back(cp, dp, d: np.ndarray, axis: int, stride: int) -> np.ndarray:
     """Back-substitution ``x[i] = dp[i] - cp[i] * x[i + 1]``.
 
-    Returns the solution in the 2-D layout of the period-form ``d`` it
-    solves — ``(m, n)`` row-major, ``(n, m)`` interleaved — possibly as
-    a non-contiguous view.
+    Returns the solution in the caller's equation order, in the 2-D
+    layout of the period-form ``d`` it solves — ``(m, N)`` row-major,
+    ``(N, m)`` interleaved (a free reshape) — possibly as a
+    non-contiguous view. Row-major is one transposing copy.
     """
     x = np.empty(dp.shape, dtype=dp.dtype)
     x[-1] = dp[-1]
     for i in range(dp.shape[0] - 2, -1, -1):
         x[i] = dp[i] - cp[i] * x[i + 1]
     if not axis:
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(d.shape[0], -1)
     q, p, n = d.shape
-    return x.reshape(n, q, p).transpose(1, 2, 0).reshape(-1, n)
+    return x.reshape(n // stride, q, p, stride).transpose(1, 2, 0, 3).reshape(-1, n)
 
 
 def _thomas(work: _Periodic, check: bool, factors=None) -> np.ndarray:
-    """:func:`thomas_solve` on a period form; the solution in the form's
-    2-D layout, possibly as a non-contiguous view.
+    """:func:`thomas_solve` on a period form, each of its ``S``
+    subsystems per system read in place at stride ``S``; the solution in
+    the caller's equation order and the form's 2-D layout, possibly as
+    a non-contiguous view.
 
     ``factors``, if given, is a pair of equation-major arrays at the
-    matrix's width that receive the modified super-diagonal ``cp`` and
-    the pivots ``β`` (what :func:`_thomas_factored` reuses).
+    matrix's width (:func:`_rows`) that receive the modified
+    super-diagonal ``cp`` and the pivots ``β`` (what
+    :func:`_thomas_factored` reuses).
     """
-    a, b, c, d = _rows((work.a, work.b, work.c, work.d), work.axis)
-    n = work.system_size
+    axis, stride = work.axis, work.stride
+    a, b, c, d = _rows(work[:4], axis, stride)
+    n = d.shape[0]
     dtype = work.dtype
 
     # Scratch: modified super-diagonal (matrix width) and RHS (full width)
@@ -124,7 +146,7 @@ def _thomas(work: _Periodic, check: bool, factors=None) -> np.ndarray:
 
     beta = b[0].copy()
     if check and (np.abs(beta) <= floor).any():
-        raise _singular(beta, floor, 0)
+        raise _singular(beta, floor, 0, axis, stride)
     cp[0] = c[0] / beta
     dp[0] = d[0] / beta
     if pivots is not None:
@@ -133,30 +155,29 @@ def _thomas(work: _Periodic, check: bool, factors=None) -> np.ndarray:
     for i in range(1, n):
         beta = b[i] - a[i] * cp[i - 1]
         if check and (np.abs(beta) <= floor).any():
-            raise _singular(beta, floor, i)
+            raise _singular(beta, floor, i, axis, stride)
         cp[i] = c[i] / beta
         dp[i] = (d[i] - a[i] * dp[i - 1]) / beta
         if pivots is not None:
             pivots[i] = beta
 
-    return _back(cp, dp, work.d, work.axis)
+    return _back(cp, dp, work.d, axis, stride)
 
 
-def _thomas_factored(
-    d: np.ndarray, axis: int, a: np.ndarray, cp: np.ndarray, beta: np.ndarray
-) -> np.ndarray:
+def _thomas_factored(d, axis: int, stride: int, a, cp, beta) -> np.ndarray:
     """:func:`_thomas` for a matrix whose ``cp`` and ``β`` a recording
     sweep stored: only the ``dp`` update and the back-substitution run.
 
-    ``d`` is a period-form right-hand side with equation axis ``axis``;
-    ``a``, ``cp`` and ``beta`` are the matrix's equation-major rows (as
-    :func:`_rows` and ``_thomas(..., factors=...)`` give them). Each step
-    divides by the stored ``β``, so the result is bit-identical to
-    ``_thomas`` on the same system.
+    ``d`` is a period-form right-hand side with equation axis ``axis``
+    and ``stride`` subsystems per system; ``a``, ``cp`` and ``beta`` are
+    the matrix's equation-major rows (as :func:`_rows` and
+    ``_thomas(..., factors=...)`` give them). Each step divides by the
+    stored ``β``, so the result is bit-identical to ``_thomas`` on the
+    same system.
     """
-    (rhs,) = _rows((d,), axis)
+    (rhs,) = _rows((d,), axis, stride)
     dp = np.empty(rhs.shape, dtype=rhs.dtype)
     dp[0] = rhs[0] / beta[0]
     for i in range(1, rhs.shape[0]):
         dp[i] = (rhs[i] - a[i] * dp[i - 1]) / beta[i]
-    return _back(cp, dp, d, axis)
+    return _back(cp, dp, d, axis, stride)

@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..algorithms.lu import scipy_banded_solve
 from ..algorithms.verify import assert_solution
 from ..core.config import SwitchPoints
 from ..core.planner import plan_solve
@@ -319,7 +320,7 @@ class DistributedSolver:
             return self._planned.setdefault(key, best)
 
     def _price_rows(
-        self, m: int, n: int, dsize: int, *, mode: str = "rows"
+        self, m: int, n: int, dsize: int, *, mode: str
     ) -> Tuple[DistPlan, DistReport]:
         p = len(self.group)
         switch = self.switch_points_for(dsize)
@@ -461,11 +462,9 @@ class DistributedSolver:
             return x + correction
 
         def resolve(b: TridiagonalBatch) -> np.ndarray:
-            # The exact fallback must not re-price into approx (which a
-            # forced mode="approx" solver would): re-solve on the exact
-            # rows decomposition of the same partition explicitly.
-            exact_plan, _ = self._price_rows(m, n, dsize, mode="rows")
-            return self.execute_plan(b, exact_plan).x
+            # The exact rung is the oracle's one LAPACK call, as in the
+            # single-device governor; it never re-prices into approx.
+            return scipy_banded_solve(b)
 
         outcome = governor.enforce(
             batch,

@@ -91,8 +91,8 @@ class OnChipSolve:
 
 @dataclass(frozen=True)
 class Unsplit:
-    """Invert ``steps`` PCR split steps on the solution (a host-side
-    gather; free)."""
+    """The end of ``steps`` PCR split steps: free, and no host work —
+    splits run in place, so the solution is already in equation order."""
 
     steps: int
 
@@ -118,8 +118,8 @@ class BatchedSolve:
 
     Replaces a ``SplitCoop``/``SplitBlock``/``OnChipSolve``/``Unsplit``
     chain: ``stage1_steps + stage2_steps`` coalesced global split passes
-    over the interleaved batch, the hybrid smem PCR-Thomas solve, and
-    the inverse gathers, all as single NumPy sweeps per pass. Emitted
+    over the interleaved batch and the hybrid smem PCR-Thomas solve, all
+    as single NumPy sweeps per pass on the batch in place. Emitted
     only by the fusion pass (:func:`repro.ir.passes.fuse_batched`);
     numerics are bit-identical to the chain it replaces.
     """
@@ -163,8 +163,8 @@ class Barrier:
 
 
 # Opcodes that are bookkeeping only: never priced, never drawn on a
-# timeline (they still execute — padding and unsplitting are real host
-# array operations — but cost nothing in the machine model).
+# timeline (padding and unpadding still execute as host array
+# operations, but cost nothing in the machine model).
 MARKER_OPS = (Pad, Unpad, Unsplit, Barrier)
 
 _ENGINES = ("compute", "xfer")

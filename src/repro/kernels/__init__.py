@@ -1,6 +1,6 @@
 """Simulated GPU kernels: exact numerics + machine-model cost accounting."""
 
-from .batched import BatchedSweepKernel, batched_pcr_unsplit, batched_staged_sweep
+from .batched import BatchedSweepKernel
 from .base import (
     GLOBAL_PCR_INSTR_PER_EQ,
     GLOBAL_PCR_VALUES_PER_EQ,
@@ -25,8 +25,6 @@ __all__ = [
     "CoopPcrKernel",
     "ThomasGlobalKernel",
     "BatchedSweepKernel",
-    "batched_pcr_unsplit",
-    "batched_staged_sweep",
     "DivideKernel",
     "TransposeKernel",
     "ReconstructKernel",

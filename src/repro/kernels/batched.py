@@ -14,9 +14,13 @@ transposed, bit for bit — the property the IR fusion pass
 (:func:`repro.ir.passes.fuse_batched`) relies on.
 
 This module holds what the ``BatchedSolve`` IR opcode adds on top:
-:func:`batched_staged_sweep`, the multi-stage pipeline (global splits +
-hybrid smem PCR-Thomas + unsplits) as interleaved sweeps, and
-:class:`BatchedSweepKernel`, which prices and launches it.
+:class:`BatchedSweepKernel`, which prices the multi-stage pipeline
+(global splits + hybrid smem PCR-Thomas) as interleaved sweeps and
+launches it. The numerics are one hybrid solve at the total split
+depth: the reduction runs in place through every stage, at strides
+that double step by step, and Thomas solves the resulting subsystems
+where they lie — nothing is gathered between stages or scattered
+after the solve, and every bit equals the unfused chain's.
 """
 
 from __future__ import annotations
@@ -25,13 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..algorithms.pcr import _Periodic, _scatter_interleaved, pcr_split
 from ..algorithms.pcr_thomas import normalize_thomas_switch, pcr_thomas_solve
 from ..gpu.cost import ComputePhase, KernelCost
 from ..gpu.memory import MemoryTraffic
 from ..systems.batched import BatchedTridiagonal
 from ..util.errors import ConfigurationError, ResourceExhaustedError
-from ..util.validation import check_power_of_two, ilog2, require
+from ..util.validation import check_power_of_two, ilog2
 from .base import (
     GLOBAL_PCR_INSTR_PER_EQ,
     GLOBAL_PCR_VALUES_PER_EQ,
@@ -44,42 +47,7 @@ from .base import (
     warps_for,
 )
 
-__all__ = ["batched_pcr_unsplit", "batched_staged_sweep", "BatchedSweepKernel"]
-
-# -- interleaved numerics: arrays are (n, m), sweeps run over axis 0 ---------
-
-
-def batched_pcr_unsplit(x: np.ndarray, steps: int) -> np.ndarray:
-    """Map a split sweep's ``(sub, m·2^k)`` solution back to ``(n, m)``."""
-    require(steps >= 0, f"steps must be >= 0, got {steps}")
-    if steps == 0:
-        return x
-    return _scatter_interleaved(x, steps)
-
-
-def batched_staged_sweep(
-    batched: BatchedTridiagonal,
-    stage1_steps: int,
-    stage2_steps: int,
-    thomas_switch: int,
-    *,
-    check: bool = True,
-) -> np.ndarray:
-    """The full multi-stage pipeline as interleaved sweeps.
-
-    Replays the unfused instruction chain — ``SplitCoop(k1)`` →
-    ``SplitBlock(k2)`` → ``OnChipSolve`` → ``Unsplit(k2)`` →
-    ``Unsplit(k1)`` — stage by stage in the interleaved layout (the two
-    split stages stay separate passes because nested splits order
-    subsystems differently from a single combined split). A shared
-    matrix stays in period form throughout. Returns the ``(n, m)``
-    solution, bit-identical to the row-major chain transposed.
-    """
-    work = pcr_split(_Periodic.of(batched), stage1_steps)
-    work = pcr_split(work, stage2_steps)
-    x = pcr_thomas_solve(work, thomas_switch, check=check)
-    x = batched_pcr_unsplit(x, stage2_steps)
-    return batched_pcr_unsplit(x, stage1_steps)
+__all__ = ["BatchedSweepKernel"]
 
 
 # -- launchable kernel --------------------------------------------------------
@@ -210,10 +178,6 @@ class BatchedSweepKernel:
             dtype_size(batched.dtype),
         )
         ctx.session.submit(cost, stage=stage)
-        return batched_staged_sweep(
-            batched,
-            self.stage1_steps,
-            self.stage2_steps,
-            self.thomas_switch,
-            check=check,
-        )
+        k = self.split_steps
+        switch = normalize_thomas_switch(batched.system_size >> k, self.thomas_switch)
+        return pcr_thomas_solve(batched, switch << k, check=check)

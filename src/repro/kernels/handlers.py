@@ -11,9 +11,10 @@ kernel's price and its execution can never drift apart:
   numerics on an :class:`ExecState`, submitting the *same* cost records
   through the kernel's own ``run`` path.
 
-Marker opcodes (``Pad``/``Unpad``/``Unsplit``/``Barrier``) cost nothing
-but still transform data in execute mode — padding and un-splitting are
-real host array operations.
+Marker opcodes (``Pad``/``Unpad``/``Unsplit``/``Barrier``) cost nothing.
+``Pad`` and ``Unpad`` still transform data in execute mode; ``Unsplit``
+and ``Barrier`` touch no array — splits are strides of the one batch,
+so the solution is already in the caller's equation order.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..algorithms.padding import pad_pow2, unpad_solution
-from ..algorithms.pcr import _Periodic, pcr_unsplit_solution
+from ..algorithms.pcr import _Periodic
 from ..ir.instructions import (
     Barrier,
     BatchedSolve,
@@ -117,14 +118,16 @@ class ExecState:
 
     ``work`` is the batch in the period form of
     :mod:`repro.algorithms.pcr`: the matrix once per period, ``d`` at
-    full width. A shared-matrix batch enters with period 1 and every
-    split multiplies the period, so the matrix is never tiled out per
-    system. It is row-major in the classic chain; between an
-    ``Interleave("in")`` and the matching ``Interleave("out")`` of a
-    fused program it is interleaved and ``x`` is ``(n, m)``.
+    full width. Every split reduces it in place and multiplies its
+    stride, so its subsystems stay interleaved in the caller's equation
+    order and a shared matrix keeps its one row; the on-chip solve
+    leaves ``x`` in that order too. It is row-major in the classic
+    chain; between an ``Interleave("in")`` and the matching
+    ``Interleave("out")`` of a fused program it is interleaved and ``x``
+    is ``(n, m)``.
     """
 
-    work: _Periodic  # the (progressively split) coefficient batch
+    work: _Periodic  # the (progressively split, in place) coefficient batch
     x: Optional[np.ndarray] = None  # solution, once the on-chip solve ran
     original_n: int = 0  # pre-padding system size, for Unpad
 
@@ -191,13 +194,10 @@ def execute_step(step: Step, ctx: KernelContext, state: ExecState) -> None:
         )
         state.x = kernel.run(ctx, state.work, stage=step.stage)
         return
-    if isinstance(op, Unsplit):
-        state.x = pcr_unsplit_solution(state.x, op.steps)
-        return
     if isinstance(op, Unpad):
         state.x = unpad_solution(state.x, state.original_n)
         return
-    if isinstance(op, Barrier):
+    if isinstance(op, (Unsplit, Barrier)):
         return
     raise PlanError(
         f"opcode {type(op).__name__} is not executable on a single device"

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.lu import scipy_banded_solve
 from repro.algorithms.spike import spike_solve, truncated_spike_solve
 from repro.core.solver import solve
 from repro.dist.solver import DistributedSolver
@@ -237,6 +238,20 @@ class TestGovernedSolves:
         batch = generators.poisson_1d(2, 1 << 12)
         result = solver.solve(batch, tolerance=1e-8)
         assert batch.residual(result.x).max() <= 1e-8
+
+    def test_dist_exact_rung_is_the_oracle_solve(self):
+        # Forced approx on weakly dominant systems at a tight tolerance:
+        # neither the truncated solve nor its refinement meets it, so the
+        # ladder's exact rung answers, with the oracle's one LAPACK call.
+        solver = DistributedSolver(4, mode="approx")
+        batch = generators.poisson_1d(2, 1 << 12)
+        result = solver.solve(batch, tolerance=1e-8)
+        outcomes = solver.metrics.get("repro_numerics_outcomes_total")
+        assert outcomes.value(path="approx", rung="resolved") == 1
+        assert outcomes.total() == 1
+        np.testing.assert_array_equal(
+            result.x.view(np.uint64), scipy_banded_solve(batch).view(np.uint64)
+        )
 
     def test_auto_mode_only_prices_approx_when_governed(self):
         # At 16 devices on 4 x 2^16 exact rows wins the ungoverned race

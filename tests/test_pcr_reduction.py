@@ -34,6 +34,8 @@ from repro.algorithms import (
     pcr_step,
 )
 from repro.algorithms.spike import partition_bounds, spike_rhs, split_chunks
+from repro.gpu.executor import make_device
+from repro.kernels import BatchedSweepKernel, KernelContext
 from repro.systems import generators
 from repro.systems.batched import BatchedTridiagonal
 from repro.systems.tridiagonal import TridiagonalBatch
@@ -145,7 +147,16 @@ def _shared(batch):
     return TridiagonalBatch(*abc, batch.d)
 
 
-@pytest.mark.parametrize("layout", ["pcr_split", "pcr_reduce", "shared_split"])
+def _fused_local_solve(batched, steps):
+    """The dist_long local ``BatchedSolve``: splits 4 + 4, then the
+    on-chip hybrid at ``T = 2^(steps - 8)`` (``T = 1`` below 8 steps)."""
+    kernel = BatchedSweepKernel(4, 4, 1 << max(steps - 8, 0))
+    kernel.run(KernelContext(make_device("gtx470").session()), batched)
+
+
+@pytest.mark.parametrize(
+    "layout", ["pcr_split", "pcr_reduce", "shared_split", "fused_local_solve"]
+)
 def test_reduction_working_set_is_bounded(long_batch, layout):
     """At most 10 batch-sized arrays at peak, flat in the step count.
 
@@ -160,15 +171,23 @@ def test_reduction_working_set_is_bounded(long_batch, layout):
     plus a full-width copy of the matrix, 3). The reduction under it
     holds 4 plus the workers' block scratch, at most 2/3 however many
     CPUs there are; a full-width scratch pair would make it 5.33.
+
+    ``fused_local_solve`` is the whole fused local solve on that batch:
+    the reduction's 4 and Thomas's ``x``, ``dp`` and ``cp`` (2.33 on the
+    reduced form's 2) peak at about 4.5. Gathering the subsystems after
+    each split stage and scattering the solution back peaked at 6.2–6.5.
     """
     bound = 10.0
     if layout == "pcr_split":
         fn, arg = pcr_split, BatchedTridiagonal.interleave(long_batch)
     elif layout == "pcr_reduce":
         fn, arg = pcr_reduce, long_batch
-    else:
+    elif layout == "shared_split":
         fn, arg = pcr_split, BatchedTridiagonal.interleave(_shared(long_batch))
         bound = 5.1
+    else:
+        fn, arg = _fused_local_solve, BatchedTridiagonal.interleave(_shared(long_batch))
+        bound = 5.5
     array_bytes = long_batch.b.nbytes
     peaks = {k: _peak_in_arrays(fn, arg, k, array_bytes) for k in (2, 8, 14)}
     assert max(peaks.values()) <= bound, peaks
